@@ -1134,6 +1134,45 @@ pub fn spsc(ctx: &ScenarioCtx) -> ScenarioOutput {
 // E16: server throughput — the service layer under concurrent load
 // ---------------------------------------------------------------------
 
+/// Opens a default serial DPSV session named `session` on a fresh
+/// loopback connection (preambles, `Hello`, `HelloAck`) for the E16 and
+/// E19 clients.
+fn bench_session(
+    addr: std::net::SocketAddr,
+    session: String,
+    names: Vec<String>,
+) -> std::net::TcpStream {
+    use dp_types::protocol::{self, Frame, Hello, MAX_FRAME_BYTES};
+    use std::io::Write as _;
+
+    let mut conn = std::net::TcpStream::connect(addr).expect("connect");
+    conn.set_nodelay(true).ok();
+    protocol::write_preamble(&mut conn).unwrap();
+    protocol::read_preamble(&mut conn).unwrap();
+    let spec = dp_core::SessionSpec::default().encode();
+    let hello = Hello { session, spec, checkpoint_every: 0, names };
+    protocol::write_frame(&mut conn, &Frame::Hello(hello)).unwrap();
+    conn.flush().unwrap();
+    let ack = protocol::read_frame(&mut conn, MAX_FRAME_BYTES).unwrap();
+    assert!(matches!(ack, Some(Frame::HelloAck { .. })), "wanted HelloAck, got {ack:?}");
+    conn
+}
+
+/// Flushes the chunker's tail, then ends the session with `Finish` and
+/// waits for its `Report`.
+fn bench_finish(conn: &mut std::net::TcpStream, chunker: &mut dp_trace::FrameChunker) {
+    use dp_types::protocol::{self, Frame, MAX_FRAME_BYTES};
+    use std::io::Write as _;
+
+    if let Some(frame) = chunker.flush() {
+        protocol::write_frame(conn, &frame).unwrap();
+    }
+    protocol::write_frame(conn, &Frame::Finish).unwrap();
+    conn.flush().unwrap();
+    let report = protocol::read_frame(conn, MAX_FRAME_BYTES).unwrap();
+    assert!(matches!(report, Some(Frame::Report { .. })), "wanted Report, got {report:?}");
+}
+
 /// One client's contribution to an E16 round: stream the shared event
 /// set to the server with a `Sync` round-trip every `sync_every`
 /// chunks, returning the measured round-trip times.
@@ -1144,65 +1183,36 @@ fn e16_client(
     names: Vec<String>,
     sync_every: usize,
 ) -> Vec<Duration> {
-    use dp_types::protocol::{self, Frame, Hello, MAX_FRAME_BYTES};
-
-    let mut conn = std::net::TcpStream::connect(addr).expect("connect");
-    conn.set_nodelay(true).ok();
-    protocol::write_preamble(&mut conn).unwrap();
-    protocol::read_preamble(&mut conn).unwrap();
-    protocol::write_frame(
-        &mut conn,
-        &Frame::Hello(Hello {
-            session: format!("e16-{id}"),
-            spec: dp_core::SessionSpec::default().encode(),
-            checkpoint_every: 0,
-            names,
-        }),
-    )
-    .unwrap();
+    use dp_types::protocol::{self, Frame, MAX_FRAME_BYTES};
     use std::io::Write as _;
-    conn.flush().unwrap();
-    assert!(matches!(
-        protocol::read_frame(&mut conn, MAX_FRAME_BYTES).unwrap(),
-        Some(Frame::HelloAck { .. })
-    ));
+
+    let mut conn = bench_session(addr, format!("e16-{id}"), names);
 
     let mut chunker = dp_trace::FrameChunker::new(256);
     let mut rtts = Vec::new();
     let mut chunks = 0usize;
     let mut nonce = 0u64;
     for ev in events {
-        for frame in chunker.push(*ev) {
-            let was_chunk = matches!(frame, Frame::Chunk { .. });
+        if let Some(frame) = chunker.push(*ev) {
             protocol::write_frame(&mut conn, &frame).unwrap();
-            if was_chunk {
-                chunks += 1;
-                if chunks.is_multiple_of(sync_every) {
-                    // The SyncAck measures the full frame round trip:
-                    // our queued writes drain, the server profiles them,
-                    // decodes the Sync and acks its watermark.
-                    nonce += 1;
-                    let t0 = std::time::Instant::now();
-                    protocol::write_frame(&mut conn, &Frame::Sync { nonce }).unwrap();
-                    conn.flush().unwrap();
-                    match protocol::read_frame(&mut conn, MAX_FRAME_BYTES).unwrap() {
-                        Some(Frame::SyncAck { nonce: n, .. }) => assert_eq!(n, nonce),
-                        other => panic!("wanted SyncAck, got {other:?}"),
-                    }
-                    rtts.push(t0.elapsed());
+            chunks += 1;
+            if chunks.is_multiple_of(sync_every) {
+                // The SyncAck measures the full frame round trip: our
+                // queued writes drain, the server profiles them, decodes
+                // the Sync and acks its watermark.
+                nonce += 1;
+                let t0 = std::time::Instant::now();
+                protocol::write_frame(&mut conn, &Frame::Sync { nonce }).unwrap();
+                conn.flush().unwrap();
+                match protocol::read_frame(&mut conn, MAX_FRAME_BYTES).unwrap() {
+                    Some(Frame::SyncAck { nonce: n, .. }) => assert_eq!(n, nonce),
+                    other => panic!("wanted SyncAck, got {other:?}"),
                 }
+                rtts.push(t0.elapsed());
             }
         }
     }
-    if let Some(frame) = chunker.flush() {
-        protocol::write_frame(&mut conn, &frame).unwrap();
-    }
-    protocol::write_frame(&mut conn, &Frame::Finish).unwrap();
-    conn.flush().unwrap();
-    match protocol::read_frame(&mut conn, MAX_FRAME_BYTES).unwrap() {
-        Some(Frame::Report { .. }) => {}
-        other => panic!("wanted Report, got {other:?}"),
-    }
+    bench_finish(&mut conn, &mut chunker);
     rtts
 }
 
@@ -1231,9 +1241,7 @@ pub fn server_throughput(ctx: &ScenarioCtx) -> ScenarioOutput {
     let mut collect = CollectTracer::new();
     Interp::new(&w.program).run_seq(&mut collect);
     let events = Arc::new(collect.events);
-    let names: Vec<String> = (0..w.program.interner.len())
-        .map(|i| w.program.interner.resolve(i as u32).to_owned())
-        .collect();
+    let names = w.program.interner.names().to_vec();
 
     let client_counts: Vec<usize> =
         if ctx.clients.is_empty() { vec![1, 4] } else { ctx.clients.clone() };
@@ -1390,17 +1398,15 @@ pub fn chaos_goodput(ctx: &ScenarioCtx) -> ScenarioOutput {
     let mut collect = CollectTracer::new();
     Interp::new(&w.program).run_seq(&mut collect);
     let events = collect.events;
-    let names: Vec<String> = (0..w.program.interner.len())
-        .map(|i| w.program.interner.resolve(i as u32).to_owned())
-        .collect();
+    let names = w.program.interner.names().to_vec();
 
     let ckpt = std::env::temp_dir().join(format!("dp-bench-e18-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&ckpt);
     std::fs::create_dir_all(&ckpt).expect("e18 checkpoint dir");
 
     // (label, reset the connection every N written frames, harsh extras).
-    // Frames, not chunks: loop events ride in their own frames, so the
-    // per-connection budget is what a flaky link would actually allow.
+    // Frames, not events: every written frame (chunks and syncs) counts
+    // toward the per-connection budget a flaky link would allow.
     let severities: &[(&str, Option<u64>, bool)] = if ctx.quick {
         &[("clean", None, false), ("reset/512", Some(512), false)]
     } else {
@@ -1542,28 +1548,10 @@ fn e19_client(
     names: Vec<String>,
     query_interval: Option<Duration>,
 ) -> (Vec<Duration>, Option<String>) {
-    use dp_types::protocol::{self, query_kind, Frame, Hello, MAX_FRAME_BYTES};
+    use dp_types::protocol::{self, query_kind, Frame, MAX_FRAME_BYTES};
     use std::io::Write as _;
 
-    let mut conn = std::net::TcpStream::connect(addr).expect("connect");
-    conn.set_nodelay(true).ok();
-    protocol::write_preamble(&mut conn).unwrap();
-    protocol::read_preamble(&mut conn).unwrap();
-    protocol::write_frame(
-        &mut conn,
-        &Frame::Hello(Hello {
-            session: format!("e19-{label}"),
-            spec: dp_core::SessionSpec::default().encode(),
-            checkpoint_every: 0,
-            names,
-        }),
-    )
-    .unwrap();
-    conn.flush().unwrap();
-    assert!(matches!(
-        protocol::read_frame(&mut conn, MAX_FRAME_BYTES).unwrap(),
-        Some(Frame::HelloAck { .. })
-    ));
+    let mut conn = bench_session(addr, format!("e19-{label}"), names);
 
     let query = |conn: &mut std::net::TcpStream, id: u64| -> (Duration, String) {
         let t0 = std::time::Instant::now();
@@ -1584,18 +1572,15 @@ fn e19_client(
     let mut next_id = 0u64;
     let mut last_query = std::time::Instant::now();
     for ev in events {
-        for frame in chunker.push(*ev) {
-            let was_chunk = matches!(frame, Frame::Chunk { .. });
+        if let Some(frame) = chunker.push(*ev) {
             protocol::write_frame(&mut conn, &frame).unwrap();
-            if was_chunk {
-                if let Some(interval) = query_interval {
-                    if last_query.elapsed() >= interval {
-                        next_id += 1;
-                        let (rtt, json) = query(&mut conn, next_id);
-                        rtts.push(rtt);
-                        last_json = Some(json);
-                        last_query = std::time::Instant::now();
-                    }
+            if let Some(interval) = query_interval {
+                if last_query.elapsed() >= interval {
+                    next_id += 1;
+                    let (rtt, json) = query(&mut conn, next_id);
+                    rtts.push(rtt);
+                    last_json = Some(json);
+                    last_query = std::time::Instant::now();
                 }
             }
         }
@@ -1609,12 +1594,7 @@ fn e19_client(
         rtts.push(rtt);
         last_json = Some(json);
     }
-    protocol::write_frame(&mut conn, &Frame::Finish).unwrap();
-    conn.flush().unwrap();
-    match protocol::read_frame(&mut conn, MAX_FRAME_BYTES).unwrap() {
-        Some(Frame::Report { .. }) => {}
-        other => panic!("wanted Report, got {other:?}"),
-    }
+    bench_finish(&mut conn, &mut chunker);
     (rtts, last_json)
 }
 
@@ -1634,9 +1614,7 @@ pub fn online_analysis(ctx: &ScenarioCtx) -> ScenarioOutput {
     let mut collect = CollectTracer::new();
     Interp::new(&w.program).run_seq(&mut collect);
     let events = collect.events;
-    let names: Vec<String> = (0..w.program.interner.len())
-        .map(|i| w.program.interner.resolve(i as u32).to_owned())
-        .collect();
+    let names = w.program.interner.names().to_vec();
 
     let rates: &[(&str, Option<u64>)] =
         &[("q0hz", None), ("q1hz", Some(1000)), ("q10hz", Some(100))];

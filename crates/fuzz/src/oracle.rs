@@ -195,7 +195,7 @@ pub fn record(prog: &Program) -> (Vec<TraceEvent>, Interner, Vec<String>) {
     for rec in reader.by_ref() {
         events.push(rec.expect("reread own trace"));
     }
-    let names = (0..interner.len()).map(|id| interner.resolve(id as u32).to_owned()).collect();
+    let names = interner.names().to_vec();
     (events, interner, names)
 }
 
@@ -216,7 +216,7 @@ pub fn served(spec: &SessionSpec, events: &[TraceEvent], names: Vec<String>) -> 
     assert!(matches!(ack, Frame::HelloAck { resume_from: 0, .. }));
     let mut chunker = FrameChunker::new(64);
     for ev in events {
-        for frame in chunker.push(*ev) {
+        if let Some(frame) = chunker.push(*ev) {
             engine.handle(frame).expect("event frame");
         }
     }
@@ -226,8 +226,11 @@ pub fn served(spec: &SessionSpec, events: &[TraceEvent], names: Vec<String>) -> 
     engine.finish_result().expect("engine still live before Finish")
 }
 
+/// Stream events between two mid-stream queries of [`online_equivalence`].
+const QUERY_EVERY_EVENTS: u64 = 8;
+
 /// Replays events through the service engine while issuing live
-/// `Query` frames every few chunks, and checks the analysis-equivalence
+/// `Query` frames every few stream events, and checks the analysis-equivalence
 /// bar: the final query's snapshot — serialized from the engine's
 /// incremental loop/comm/race state — must equal the post-hoc
 /// [`dp_analysis::posthoc_report`] over the finished profile,
@@ -250,22 +253,22 @@ pub fn online_equivalence(
     let (mut engine, ack) = SessionEngine::open(&hello, 1, None, 0).expect("hello");
     assert!(matches!(ack, Frame::HelloAck { resume_from: 0, .. }));
     let mut chunker = FrameChunker::new(64);
-    let mut chunks = 0u64;
     let mut id = 0u64;
-    for ev in events {
-        for frame in chunker.push(*ev) {
-            let is_chunk = matches!(frame, Frame::Chunk { .. });
+    for (pos, ev) in (1u64..).zip(events) {
+        if let Some(frame) = chunker.push(*ev) {
             engine.handle(frame).expect("event frame");
-            // Mid-stream queries make the incremental state fold from
-            // many partial deltas, not one big catch-up — the verdict
-            // below proves interval boundaries don't change the answer.
-            if is_chunk {
-                chunks += 1;
-                if chunks.is_multiple_of(5) {
-                    id += 1;
-                    engine.handle(Frame::Query { id, kind: query_kind::ALL }).expect("query");
-                }
+        }
+        // Mid-stream queries make the incremental state fold from many
+        // partial deltas, not one big catch-up — the verdict below
+        // proves interval boundaries don't change the answer. The
+        // cadence counts events, so the fold count is independent of
+        // the chunk size.
+        if pos.is_multiple_of(QUERY_EVERY_EVENTS) {
+            if let Some(frame) = chunker.flush() {
+                engine.handle(frame).expect("event frame");
             }
+            id += 1;
+            engine.handle(Frame::Query { id, kind: query_kind::ALL }).expect("query");
         }
     }
     if let Some(frame) = chunker.flush() {

@@ -25,7 +25,7 @@ pub struct PushOptions {
     pub spec: SessionSpec,
     /// Ask the server to checkpoint every N events (0 = server default).
     pub checkpoint_every: u64,
-    /// Accesses per `Chunk` frame.
+    /// Events per `Chunk` frame (accesses and control events alike).
     pub chunk_events: usize,
     /// Sleep this long between chunk frames (throttles the stream so
     /// tests can interrupt a push mid-session deterministically).
@@ -249,37 +249,34 @@ fn push_once(
             skipped += 1;
             continue;
         }
-        for frame in chunker.push(ev) {
-            let is_chunk = matches!(frame, Frame::Chunk { .. });
+        if let Some(frame) = chunker.push(ev) {
             protocol::write_frame(conn, &frame)?;
-            if is_chunk {
-                chunks_since_sync += 1;
-                if let Some(ms) = opts.watch_ms {
-                    if last_watch.elapsed().as_millis() as u64 >= ms {
-                        conn.flush().map_err(ProtocolError::Io)?;
-                        queries += 1;
-                        last_query_json = Some(watch_query(conn, &opts.session, queries)?);
-                        last_watch = Instant::now();
-                    }
-                }
-                if opts.throttle_ms > 0 {
+            chunks_since_sync += 1;
+            if let Some(ms) = opts.watch_ms {
+                if last_watch.elapsed().as_millis() as u64 >= ms {
                     conn.flush().map_err(ProtocolError::Io)?;
-                    std::thread::sleep(std::time::Duration::from_millis(opts.throttle_ms));
+                    queries += 1;
+                    last_query_json = Some(watch_query(conn, &opts.session, queries)?);
+                    last_watch = Instant::now();
                 }
-                if opts.sync_every_chunks > 0 && chunks_since_sync >= opts.sync_every_chunks {
-                    chunks_since_sync = 0;
-                    sync_nonce += 1;
-                    protocol::write_frame(conn, &Frame::Sync { nonce: sync_nonce })?;
-                    conn.flush().map_err(ProtocolError::Io)?;
-                    // Wait for this probe's ack (skipping acks of any
-                    // duplicated earlier probes): everything sent so far
-                    // is consumed — a durable watermark.
-                    loop {
-                        match read_reply(conn)? {
-                            Frame::SyncAck { nonce, .. } if nonce == sync_nonce => break,
-                            Frame::SyncAck { .. } => continue,
-                            _ => return Err(ClientError::Unexpected("wanted SyncAck")),
-                        }
+            }
+            if opts.throttle_ms > 0 {
+                conn.flush().map_err(ProtocolError::Io)?;
+                std::thread::sleep(std::time::Duration::from_millis(opts.throttle_ms));
+            }
+            if opts.sync_every_chunks > 0 && chunks_since_sync >= opts.sync_every_chunks {
+                chunks_since_sync = 0;
+                sync_nonce += 1;
+                protocol::write_frame(conn, &Frame::Sync { nonce: sync_nonce })?;
+                conn.flush().map_err(ProtocolError::Io)?;
+                // Wait for this probe's ack (skipping acks of any
+                // duplicated earlier probes): everything sent so far
+                // is consumed — a durable watermark.
+                loop {
+                    match read_reply(conn)? {
+                        Frame::SyncAck { nonce, .. } if nonce == sync_nonce => break,
+                        Frame::SyncAck { .. } => continue,
+                        _ => return Err(ClientError::Unexpected("wanted SyncAck")),
                     }
                 }
             }

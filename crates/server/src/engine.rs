@@ -21,6 +21,9 @@ use std::path::{Path, PathBuf};
 pub enum SessionError {
     /// The `Hello` frame's engine spec did not decode.
     BadSpec(dp_types::WireError),
+    /// The `Hello` frame's name table repeats a name: the name at this
+    /// index does not intern to its own position.
+    BadNameTable(usize),
     /// A frame arrived that the session's state does not allow (a
     /// second `Hello`, events after `Finish`, ...).
     OutOfOrder(&'static str),
@@ -32,6 +35,9 @@ impl fmt::Display for SessionError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SessionError::BadSpec(e) => write!(f, "session spec is malformed: {e}"),
+            SessionError::BadNameTable(i) => {
+                write!(f, "name table repeats a name at index {i}; later ids would shift")
+            }
             SessionError::OutOfOrder(what) => write!(f, "frame out of protocol order: {what}"),
             SessionError::Io(e) => write!(f, "session checkpoint I/O failed: {e}"),
         }
@@ -95,10 +101,7 @@ impl SessionEngine {
         checkpoint_base: Option<&Path>,
         default_checkpoint_every: u64,
     ) -> Result<(SessionEngine, Frame), SessionError> {
-        let mut interner = Interner::new();
-        for n in &hello.names {
-            interner.intern(n);
-        }
+        let interner = Interner::from_names(&hello.names).map_err(SessionError::BadNameTable)?;
         let checkpoint_every = if hello.checkpoint_every > 0 {
             hello.checkpoint_every
         } else {
@@ -160,6 +163,7 @@ impl SessionEngine {
             return Err(SessionError::OutOfOrder("frame after Finish"));
         }
         self.metrics.frames += 1;
+        self.metrics.bytes_in += frame.payload_len() as u64;
         match frame {
             Frame::Hello(_) => Err(SessionError::OutOfOrder("second Hello on one connection")),
             Frame::HelloAck { .. }
@@ -171,32 +175,20 @@ impl SessionEngine {
                 Err(SessionError::OutOfOrder("server-to-client frame sent by client"))
             }
             Frame::Error { .. } => Err(SessionError::OutOfOrder("Error frame sent by client")),
-            Frame::Chunk { base, accesses } => {
+            Frame::Chunk { base, events } => {
                 self.metrics.chunks += 1;
-                self.metrics.bytes_in +=
-                    (accesses.len() * dp_types::protocol::ACCESS_WIRE_BYTES) as u64;
                 if base > self.events_fed {
                     return Err(SessionError::OutOfOrder("chunk beyond the stream watermark"));
                 }
-                // Everything below the watermark was already profiled
-                // (resend overlap after a reconnect, or a duplicated
-                // frame): skip it exactly, feed only the new suffix.
-                let skip = (self.events_fed - base).min(accesses.len() as u64) as usize;
+                // Event `i` sits at `base + i`. Everything below the
+                // watermark was already profiled (resend overlap after a
+                // reconnect, or a duplicated frame): skip it exactly,
+                // feed only the new suffix.
+                let skip = (self.events_fed - base).min(events.len() as u64) as usize;
                 self.metrics.events_skipped_on_resume += skip as u64;
-                for a in accesses.into_iter().skip(skip) {
-                    self.feed(TraceEvent::Access(a))?;
+                for ev in events.into_iter().skip(skip) {
+                    self.feed(ev)?;
                 }
-                Ok(Vec::new())
-            }
-            Frame::LoopEvent { seq, ev } => {
-                if seq > self.events_fed {
-                    return Err(SessionError::OutOfOrder("event beyond the stream watermark"));
-                }
-                if seq < self.events_fed {
-                    self.metrics.events_skipped_on_resume += 1;
-                    return Ok(Vec::new());
-                }
-                self.feed(ev)?;
                 Ok(Vec::new())
             }
             Frame::Sync { nonce } => {
@@ -381,15 +373,15 @@ mod tests {
         }
     }
 
-    fn accesses(range: std::ops::Range<u64>) -> Vec<MemAccess> {
+    fn accesses(range: std::ops::Range<u64>) -> Vec<TraceEvent> {
         range
             .map(|i| {
                 let a = 0x100 + (i % 9) * 8;
-                if i % 4 == 0 {
+                TraceEvent::Access(if i % 4 == 0 {
                     MemAccess::write(a, i + 1, loc(1, 1), 1, 0)
                 } else {
                     MemAccess::read(a, i + 1, loc(1, 2), 1, 0)
-                }
+                })
             })
             .collect()
     }
@@ -398,7 +390,7 @@ mod tests {
     fn session_profiles_and_reports() {
         let (mut s, ack) = SessionEngine::open(&hello("t", 0), 1, None, 0).unwrap();
         assert_eq!(ack, Frame::HelloAck { session_id: 1, resume_from: 0 });
-        assert!(s.handle(Frame::Chunk { base: 0, accesses: accesses(0..50) }).unwrap().is_empty());
+        assert!(s.handle(Frame::Chunk { base: 0, events: accesses(0..50) }).unwrap().is_empty());
         let replies = s.handle(Frame::Sync { nonce: 99 }).unwrap();
         assert_eq!(replies, vec![Frame::SyncAck { nonce: 99, position: 50 }]);
         let replies = s.handle(Frame::StatsRequest).unwrap();
@@ -417,13 +409,13 @@ mod tests {
 
         // Reference: one uninterrupted session.
         let (mut all, _) = SessionEngine::open(&hello("ref", 0), 1, None, 0).unwrap();
-        all.handle(Frame::Chunk { base: 0, accesses: evs.clone() }).unwrap();
+        all.handle(Frame::Chunk { base: 0, events: evs.clone() }).unwrap();
         let reference = all.finish_result().unwrap();
 
         // Interrupted: feed 60, checkpoint (emergency), drop the engine.
         let (mut first, ack) = SessionEngine::open(&hello("job", 10), 2, Some(&base), 0).unwrap();
         assert_eq!(ack, Frame::HelloAck { session_id: 2, resume_from: 0 });
-        first.handle(Frame::Chunk { base: 0, accesses: evs[..60].to_vec() }).unwrap();
+        first.handle(Frame::Chunk { base: 0, events: evs[..60].to_vec() }).unwrap();
         first.write_checkpoint().unwrap();
         drop(first);
 
@@ -434,7 +426,7 @@ mod tests {
         assert_eq!(ack, Frame::HelloAck { session_id: 3, resume_from: 60 });
         assert_eq!(second.metrics().resumed_from, 60);
         assert_eq!(second.metrics().rehydrated, 1);
-        second.handle(Frame::Chunk { base: 40, accesses: evs[40..].to_vec() }).unwrap();
+        second.handle(Frame::Chunk { base: 40, events: evs[40..].to_vec() }).unwrap();
         assert_eq!(second.metrics().events_skipped_on_resume, 20);
         assert_eq!(second.position(), 100);
         let resumed = second.finish_result().unwrap();
@@ -456,7 +448,7 @@ mod tests {
         let base = std::env::temp_dir().join(format!("dpsv-engine-clear-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&base);
         let (mut s, _) = SessionEngine::open(&hello("a b/c", 5), 1, Some(&base), 0).unwrap();
-        s.handle(Frame::Chunk { base: 0, accesses: accesses(0..20) }).unwrap();
+        s.handle(Frame::Chunk { base: 0, events: accesses(0..20) }).unwrap();
         assert!(base.join("a_b_c").exists(), "sanitized checkpoint dir");
         s.handle(Frame::Finish).unwrap();
         assert!(!base.join("a_b_c").exists(), "spent checkpoints are removed");
@@ -467,21 +459,62 @@ mod tests {
     fn duplicate_and_gap_frames_are_handled_positionally() {
         let evs = accesses(0..30);
         let (mut s, _) = SessionEngine::open(&hello("dup", 0), 1, None, 0).unwrap();
-        s.handle(Frame::Chunk { base: 0, accesses: evs[..20].to_vec() }).unwrap();
+        s.handle(Frame::Chunk { base: 0, events: evs[..20].to_vec() }).unwrap();
         // Exact duplicate delivery of the last frame: fully skipped.
-        s.handle(Frame::Chunk { base: 0, accesses: evs[..20].to_vec() }).unwrap();
+        s.handle(Frame::Chunk { base: 0, events: evs[..20].to_vec() }).unwrap();
         assert_eq!(s.position(), 20);
         assert_eq!(s.metrics().events_skipped_on_resume, 20);
         // A gap is a protocol violation, not silent data loss.
-        let err = s.handle(Frame::Chunk { base: 25, accesses: evs[25..].to_vec() }).unwrap_err();
+        let err = s.handle(Frame::Chunk { base: 25, events: evs[25..].to_vec() }).unwrap_err();
         assert!(matches!(err, SessionError::OutOfOrder(_)));
-        let err = s
-            .handle(Frame::LoopEvent {
-                seq: 25,
-                ev: TraceEvent::CallBegin { func: 1, thread: 0, ts: 1 },
-            })
-            .unwrap_err();
-        assert!(matches!(err, SessionError::OutOfOrder(_)));
+    }
+
+    /// A resent chunk straddling the watermark whose skipped prefix holds
+    /// control events: position is `base + index` whatever the event
+    /// kind, so exactly the prefix is skipped and counted.
+    #[test]
+    fn overlapping_mixed_chunk_skips_its_control_prefix_exactly() {
+        let mut evs = vec![TraceEvent::LoopBegin { loop_id: 1, loc: loc(1, 3), thread: 0, ts: 0 }];
+        for (i, a) in accesses(0..12).into_iter().enumerate() {
+            evs.extend([TraceEvent::LoopIter { loop_id: 1, iter: i as u64, thread: 0, ts: 0 }, a]);
+        }
+        evs.push(TraceEvent::LoopEnd { loop_id: 1, loc: loc(1, 9), iters: 12, thread: 0, ts: 0 });
+
+        let (mut all, _) = SessionEngine::open(&hello("ref", 0), 1, None, 0).unwrap();
+        all.handle(Frame::Chunk { base: 0, events: evs.clone() }).unwrap();
+        let reference = all.finish_result().unwrap();
+
+        let (mut s, _) = SessionEngine::open(&hello("mix", 0), 2, None, 0).unwrap();
+        s.handle(Frame::Chunk { base: 0, events: evs[..3].to_vec() }).unwrap();
+        // Resend from position 1: the LoopIter at 1 and the access at 2
+        // were already fed.
+        s.handle(Frame::Chunk { base: 1, events: evs[1..].to_vec() }).unwrap();
+        assert_eq!(s.metrics().events_skipped_on_resume, 2);
+        assert_eq!(s.position(), evs.len() as u64);
+        assert_eq!(s.metrics().events, evs.len() as u64);
+        let resumed = s.finish_result().unwrap();
+        assert_eq!(resumed.metrics.service.events_skipped_on_resume, 2);
+        let render = |r: &ProfileResult| report::render(r, &Interner::new(), false);
+        assert_eq!(render(&resumed), render(&reference));
+    }
+
+    #[test]
+    fn bytes_in_counts_every_handled_payload() {
+        let (mut s, _) = SessionEngine::open(&hello("b", 0), 1, None, 0).unwrap();
+        let mut mixed = accesses(0..5);
+        mixed.insert(2, TraceEvent::CallBegin { func: 1, thread: 0, ts: 1 });
+        let frames = [
+            Frame::Chunk { base: 0, events: mixed },
+            Frame::Sync { nonce: 1 },
+            Frame::Query { id: 1, kind: dp_types::protocol::query_kind::LOOPS },
+            Frame::StatsRequest,
+            Frame::Finish,
+        ];
+        let want: usize = frames.iter().map(|f| f.encode_payload().len()).sum();
+        for f in frames {
+            s.handle(f).unwrap();
+        }
+        assert_eq!(s.metrics().bytes_in, want as u64);
     }
 
     #[test]
@@ -491,14 +524,14 @@ mod tests {
         let evs = accesses(0..80);
 
         let (mut all, _) = SessionEngine::open(&hello("ref", 0), 1, None, 0).unwrap();
-        all.handle(Frame::Chunk { base: 0, accesses: evs.clone() }).unwrap();
+        all.handle(Frame::Chunk { base: 0, events: evs.clone() }).unwrap();
         let reference = all.finish_result().unwrap();
 
         // Hibernate mid-stream: even without a periodic checkpoint
         // interval the store is created on demand.
         let (mut idle, _) = SessionEngine::open(&hello("nap", 0), 2, Some(&base), 0).unwrap();
         assert!(idle.durable());
-        idle.handle(Frame::Chunk { base: 0, accesses: evs[..50].to_vec() }).unwrap();
+        idle.handle(Frame::Chunk { base: 0, events: evs[..50].to_vec() }).unwrap();
         idle.hibernate().unwrap();
         assert_eq!(idle.metrics().hibernated, 1);
         drop(idle);
@@ -506,7 +539,7 @@ mod tests {
         let (mut woken, ack) = SessionEngine::open(&hello("nap", 0), 3, Some(&base), 0).unwrap();
         assert_eq!(ack, Frame::HelloAck { session_id: 3, resume_from: 50 });
         assert_eq!(woken.metrics().rehydrated, 1);
-        woken.handle(Frame::Chunk { base: 50, accesses: evs[50..].to_vec() }).unwrap();
+        woken.handle(Frame::Chunk { base: 50, events: evs[50..].to_vec() }).unwrap();
         let resumed = woken.finish_result().unwrap();
         assert_eq!(reference.stats.accesses, resumed.stats.accesses);
         let _ = std::fs::remove_dir_all(&base);
@@ -534,7 +567,7 @@ mod tests {
                 names: vec!["*".into(), "x".into()],
             };
             let (mut s, _) = SessionEngine::open(&h, 1, None, 0).unwrap();
-            s.handle(Frame::Chunk { base: 0, accesses: accesses(0..30) }).unwrap();
+            s.handle(Frame::Chunk { base: 0, events: accesses(0..30) }).unwrap();
             // Mid-stream query: answered without stalling or finishing.
             let replies =
                 s.handle(Frame::Query { id: 5, kind: dp_types::protocol::query_kind::ALL });
@@ -543,7 +576,7 @@ mod tests {
             };
             assert!(json.contains("\"position\":30"), "{json}");
             assert!(json.contains("\"loops\":"), "{json}");
-            s.handle(Frame::Chunk { base: 30, accesses: accesses(30..60) }).unwrap();
+            s.handle(Frame::Chunk { base: 30, events: accesses(30..60) }).unwrap();
             // Section-selected query.
             let replies =
                 s.handle(Frame::Query { id: 6, kind: dp_types::protocol::query_kind::COMM });
@@ -578,6 +611,9 @@ mod tests {
         let mut h = hello("x", 0);
         h.spec = vec![9, 9];
         assert!(matches!(SessionEngine::open(&h, 1, None, 0), Err(SessionError::BadSpec(_))));
+        let mut h = hello("x", 0);
+        h.names.push("x".into()); // a repeat: id 2 would silently become 1
+        assert!(matches!(SessionEngine::open(&h, 1, None, 0), Err(SessionError::BadNameTable(2))));
         let (mut s, _) = SessionEngine::open(&hello("x", 0), 1, None, 0).unwrap();
         let err = s.handle(Frame::Hello(hello("x", 0))).unwrap_err();
         assert!(matches!(err, SessionError::OutOfOrder(_)));

@@ -14,7 +14,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Server-wide policy knobs.
@@ -164,6 +164,7 @@ struct NameLease<'a> {
 impl Drop for NameLease<'_> {
     fn drop(&mut self) {
         self.shared.live_names.lock().expect("name registry poisoned").remove(&self.name);
+        self.shared.name_released.notify_all();
     }
 }
 
@@ -178,8 +179,11 @@ struct Shared {
     /// the dead connection's thread has noticed the EOF and written its
     /// emergency checkpoint; admitting it would put two engines on one
     /// checkpoint store and lose the resume watermark. The second
-    /// `Hello` is refused with `Busy` until the name is released.
+    /// `Hello` waits for the release, and is refused with `Busy` if it
+    /// does not come in time.
     live_names: Mutex<HashSet<String>>,
+    /// Signalled whenever a name in `live_names` is released.
+    name_released: Condvar,
 }
 
 impl Shared {
@@ -190,7 +194,22 @@ impl Shared {
             next_id: AtomicU64::new(1),
             hellos: Mutex::new(HashMap::new()),
             live_names: Mutex::new(HashSet::new()),
+            name_released: Condvar::new(),
         })
+    }
+
+    /// Claims `session` for one live engine. A name still held is
+    /// usually a dead connection's teardown writing its emergency
+    /// checkpoint, so the claim waits for its release — at most the
+    /// `Busy` hint — before giving up.
+    fn claim_name(&self, session: &str) -> bool {
+        let names = self.live_names.lock().expect("name registry poisoned");
+        let wait = Duration::from_millis(self.cfg.busy_retry_ms);
+        let (mut names, _) = self
+            .name_released
+            .wait_timeout_while(names, wait, |names| names.contains(session))
+            .expect("name registry poisoned");
+        names.insert(session.to_owned())
     }
 
     /// Registers one more `Hello` for `session`, returning how many
@@ -364,15 +383,15 @@ fn serve_conn<S: Conn>(mut s: S, shared: &Shared, stop: &AtomicBool) {
     // First frame must be Hello; the session slot is claimed before the
     // engine is built so the cap bounds real engine memory.
     let hello = match read_one(&mut s, shared, stop) {
-        Some(Frame::Hello(h)) => h,
-        Some(_) => {
-            let _ = send(
-                &mut s,
-                &[Frame::Error {
-                    code: error_code::BAD_FRAME,
-                    message: "first frame must be Hello".into(),
-                }],
-            );
+        Some(Ok(Frame::Hello(h))) => h,
+        Some(first) => {
+            // A malformed Hello (say, a name table that repeats a name)
+            // is answered like any other bad first frame.
+            let message = match first {
+                Err(e) => e.to_string(),
+                Ok(_) => "first frame must be Hello".into(),
+            };
+            let _ = send(&mut s, &[Frame::Error { code: error_code::BAD_FRAME, message }]);
             return;
         }
         None => return,
@@ -393,8 +412,9 @@ fn serve_conn<S: Conn>(mut s: S, shared: &Shared, stop: &AtomicBool) {
     let _slot = SessionSlot(Arc::clone(&shared.active));
     // One engine per name: a reconnect that beats the dead connection's
     // teardown would race it over the session's checkpoint store, so it
-    // waits its turn behind the same typed backpressure as capacity.
-    if !shared.live_names.lock().expect("name registry poisoned").insert(hello.session.clone()) {
+    // waits its turn, then falls back to the same typed backpressure as
+    // capacity.
+    if !shared.claim_name(&hello.session) {
         let _ = send(&mut s, &[Frame::Busy { retry_after_ms: shared.cfg.busy_retry_ms }]);
         return;
     }
@@ -523,10 +543,14 @@ fn serve_conn<S: Conn>(mut s: S, shared: &Shared, stop: &AtomicBool) {
     }
 }
 
-fn read_one<S: Conn>(s: &mut S, shared: &Shared, stop: &AtomicBool) -> Option<Frame> {
+fn read_one<S: Conn>(
+    s: &mut S,
+    shared: &Shared,
+    stop: &AtomicBool,
+) -> Option<Result<Frame, ProtocolError>> {
     match poll_byte(s, stop, None) {
         Ok(Poll::Byte(tag)) => {
-            protocol::resume_frame(&mut Retry(s), tag, shared.cfg.max_frame_bytes).ok()
+            Some(protocol::resume_frame(&mut Retry(s), tag, shared.cfg.max_frame_bytes))
         }
         _ => None,
     }

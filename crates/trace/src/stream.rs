@@ -1,38 +1,36 @@
 //! Bridging a recorded event stream onto the DPSV wire: batches
-//! consecutive accesses into `Chunk` frames and passes control-flow
-//! events through in order.
+//! consecutive events — accesses and control events alike — into
+//! `Chunk` frames, in stream order.
 //!
 //! This is what lets `depprof push` replay any recorded `.dptr` file
 //! over the network: the trace reader yields [`TraceEvent`]s one at a
-//! time, and the chunker turns them into the protocol's frame stream —
-//! access-dense regions become large `Chunk` frames (amortizing the
-//! 6-byte frame overhead over hundreds of accesses), while loop, call
-//! and dealloc events flush the pending chunk first so the server feeds
-//! its engine in exactly the recorded order.
+//! time, and the chunker turns them into the protocol's frame stream.
+//! A chunk fills to `chunk_events` events whatever their kind, so the
+//! 6-byte frame overhead amortizes over hundreds of events and the
+//! server feeds its engine in exactly the recorded order.
 //!
-//! Every emitted frame is *positional*: `Chunk` frames carry the
-//! absolute stream index of their first access and `LoopEvent` frames
-//! their own index, counted from the chunker's base. A resuming client
+//! Every emitted frame is *positional*: a `Chunk` carries the absolute
+//! stream index of its first event, counted from the chunker's base,
+//! and its `i`-th event sits at `base + i`. A resuming client
 //! constructs the chunker [`with_base`](FrameChunker::with_base) at the
 //! server's `resume_from` watermark and the positions line up exactly.
 
 use dp_types::protocol::Frame;
-use dp_types::{MemAccess, TraceEvent};
+use dp_types::TraceEvent;
 
-/// Batches [`TraceEvent`]s into DPSV frames, preserving event order.
+/// Batches [`TraceEvent`]s into DPSV `Chunk` frames, preserving event
+/// order.
 #[derive(Debug)]
 pub struct FrameChunker {
-    pending: Vec<MemAccess>,
+    pending: Vec<TraceEvent>,
     capacity: usize,
     /// Absolute index of the next event pushed.
     pos: u64,
-    /// Absolute index of `pending[0]` (valid while `pending` is non-empty).
-    chunk_base: u64,
 }
 
 impl FrameChunker {
     /// A chunker emitting `Chunk` frames of at most `chunk_events`
-    /// accesses (minimum 1), positions counted from 0.
+    /// events (minimum 1), positions counted from 0.
     pub fn new(chunk_events: usize) -> Self {
         Self::with_base(chunk_events, 0)
     }
@@ -42,78 +40,35 @@ impl FrameChunker {
     /// server expects after `HelloAck.resume_from`.
     pub fn with_base(chunk_events: usize, base: u64) -> Self {
         let capacity = chunk_events.max(1);
-        FrameChunker {
-            pending: Vec::with_capacity(capacity),
-            capacity,
-            pos: base,
-            chunk_base: base,
-        }
+        FrameChunker { pending: Vec::with_capacity(capacity), capacity, pos: base }
     }
 
-    /// Absolute index the next pushed event will occupy.
-    pub fn position(&self) -> u64 {
-        self.pos
+    /// Accepts one event. Returns the `Chunk` it completed, once
+    /// `chunk_events` events are pending.
+    pub fn push(&mut self, ev: TraceEvent) -> Option<Frame> {
+        self.pending.push(ev);
+        self.pos += 1;
+        (self.pending.len() >= self.capacity).then(|| self.take_chunk())
     }
 
-    /// Accepts one event. Returns the frames that became ready: zero or
-    /// one `Chunk` flush, followed by the event's own frame when it is
-    /// not an access.
-    pub fn push(&mut self, ev: TraceEvent) -> Vec<Frame> {
-        match ev {
-            TraceEvent::Access(a) => {
-                if self.pending.is_empty() {
-                    self.chunk_base = self.pos;
-                }
-                self.pending.push(a);
-                self.pos += 1;
-                if self.pending.len() >= self.capacity {
-                    vec![self.take_chunk().expect("pending chunk is non-empty")]
-                } else {
-                    Vec::new()
-                }
-            }
-            other => {
-                let mut out = Vec::with_capacity(2);
-                if let Some(chunk) = self.take_chunk() {
-                    out.push(chunk);
-                }
-                out.push(Frame::LoopEvent { seq: self.pos, ev: other });
-                self.pos += 1;
-                out
-            }
-        }
-    }
-
-    /// Flushes any buffered accesses (call at end of stream, or before a
-    /// `Sync`/`Finish`).
+    /// Flushes any buffered events (call at end of stream, or before a
+    /// `Sync`/`Query`/`Finish`).
     pub fn flush(&mut self) -> Option<Frame> {
-        self.take_chunk()
+        (!self.pending.is_empty()).then(|| self.take_chunk())
     }
 
-    /// Accesses currently buffered.
-    pub fn pending(&self) -> usize {
-        self.pending.len()
-    }
-
-    fn take_chunk(&mut self) -> Option<Frame> {
-        if self.pending.is_empty() {
-            None
-        } else {
-            Some(Frame::Chunk {
-                base: self.chunk_base,
-                accesses: std::mem::take(&mut self.pending),
-            })
-        }
+    fn take_chunk(&mut self) -> Frame {
+        let events = std::mem::replace(&mut self.pending, Vec::with_capacity(self.capacity));
+        Frame::Chunk { base: self.pos - events.len() as u64, events }
     }
 }
 
 /// Unpacks one incoming frame back into the events it carries (the
-/// server-side inverse of [`FrameChunker`]), dropping the positions.
+/// server-side inverse of [`FrameChunker`]), dropping the position.
 /// Non-event frames yield an empty vector.
 pub fn frame_events(frame: Frame) -> Vec<TraceEvent> {
     match frame {
-        Frame::Chunk { accesses, .. } => accesses.into_iter().map(TraceEvent::Access).collect(),
-        Frame::LoopEvent { ev, .. } => vec![ev],
+        Frame::Chunk { events, .. } => events,
         _ => Vec::new(),
     }
 }
@@ -122,14 +77,13 @@ pub fn frame_events(frame: Frame) -> Vec<TraceEvent> {
 mod tests {
     use super::*;
     use dp_types::loc::loc;
-
-    fn acc(i: u64) -> TraceEvent {
-        TraceEvent::Access(MemAccess::read(0x100 + i * 8, i + 1, loc(1, 1), 0, 0))
-    }
+    use dp_types::MemAccess;
 
     #[test]
-    fn chunker_preserves_order_and_batches() {
-        let evs: Vec<TraceEvent> = vec![
+    fn chunks_fill_across_event_kinds_with_contiguous_positions() {
+        let acc =
+            |i: u64| TraceEvent::Access(MemAccess::read(0x100 + i * 8, i + 1, loc(1, 1), 0, 0));
+        let evs = vec![
             acc(0),
             acc(1),
             TraceEvent::LoopBegin { loop_id: 1, loc: loc(1, 5), thread: 0, ts: 10 },
@@ -139,68 +93,26 @@ mod tests {
             TraceEvent::LoopEnd { loop_id: 1, loc: loc(1, 9), iters: 1, thread: 0, ts: 20 },
             acc(5),
         ];
-        let mut chunker = FrameChunker::new(2);
-        let mut frames = Vec::new();
-        for ev in evs.clone() {
-            frames.extend(chunker.push(ev));
-        }
-        frames.extend(chunker.flush());
-        // Chunks never exceed the capacity, and a control event always
-        // flushes the pending chunk ahead of itself.
-        for f in &frames {
-            if let Frame::Chunk { accesses, .. } = f {
-                assert!(!accesses.is_empty() && accesses.len() <= 2);
-            }
-        }
-        let roundtrip: Vec<TraceEvent> = frames.into_iter().flat_map(frame_events).collect();
-        assert_eq!(roundtrip, evs, "order preserved exactly");
-        assert_eq!(chunker.position(), evs.len() as u64);
-    }
-
-    #[test]
-    fn frames_carry_contiguous_positions() {
-        let evs: Vec<TraceEvent> = vec![
-            acc(0),
-            TraceEvent::LoopBegin { loop_id: 1, loc: loc(1, 5), thread: 0, ts: 10 },
-            acc(1),
-            acc(2),
-            acc(3),
-        ];
         for base in [0u64, 17] {
-            let mut chunker = FrameChunker::with_base(2, base);
-            let mut frames = Vec::new();
-            for ev in evs.clone() {
-                frames.extend(chunker.push(ev));
-            }
+            let mut chunker = FrameChunker::with_base(3, base);
+            assert!(chunker.flush().is_none());
+            let mut frames: Vec<Frame> = evs.iter().flat_map(|ev| chunker.push(*ev)).collect();
             frames.extend(chunker.flush());
-            // Walk the frames: every frame's position must equal the
-            // running event count — no gaps, no overlap.
+            assert!(chunker.flush().is_none());
+            // Control events ride inside chunks, so only the last one is
+            // short, and every base equals the running event count.
             let mut next = base;
-            for f in frames {
-                match f {
-                    Frame::Chunk { base: b, accesses } => {
-                        assert_eq!(b, next, "chunk base");
-                        next += accesses.len() as u64;
-                    }
-                    Frame::LoopEvent { seq, .. } => {
-                        assert_eq!(seq, next, "loop event seq");
-                        next += 1;
-                    }
-                    other => panic!("unexpected frame {other:?}"),
-                }
+            let mut sizes = Vec::new();
+            for f in &frames {
+                let Frame::Chunk { base: b, events } = f else { panic!("unexpected {f:?}") };
+                assert_eq!(*b, next, "chunk base");
+                next += events.len() as u64;
+                sizes.push(events.len());
             }
+            assert_eq!(sizes, [3, 3, 2]);
             assert_eq!(next, base + evs.len() as u64);
+            let roundtrip: Vec<TraceEvent> = frames.into_iter().flat_map(frame_events).collect();
+            assert_eq!(roundtrip, evs, "order preserved exactly");
         }
-    }
-
-    #[test]
-    fn flush_on_empty_is_none() {
-        let mut chunker = FrameChunker::new(8);
-        assert!(chunker.flush().is_none());
-        assert_eq!(chunker.pending(), 0);
-        chunker.push(acc(0));
-        assert_eq!(chunker.pending(), 1);
-        assert!(chunker.flush().is_some());
-        assert!(chunker.flush().is_none());
     }
 }

@@ -10,8 +10,9 @@
 //!
 //! Format (little-endian): magic `DPTR`, a version byte, a variable-name
 //! table (so replayed reports resolve names without the original
-//! program), then one record per event: a tag byte, the fixed-width
-//! fields of that variant, and a checksum byte (XOR of tag and fields).
+//! program), then one record per event: the shared event codec's record
+//! ([`dp_types::codec`] — a tag byte and the fixed-width fields of that
+//! variant) followed by a checksum byte (XOR of tag and fields).
 //! Accesses — the overwhelming majority — encode in 28 bytes.
 //!
 //! The reader fails typed, not loose: [`TraceFileError`] distinguishes a
@@ -21,42 +22,17 @@
 //! (EOF mid-record) from a clean EOF at a record boundary.
 
 use crate::tracer::Tracer;
-use dp_types::{AccessKind, Interner, MemAccess, SourceLoc, TraceEvent};
+use dp_types::codec::{self, NameTableError};
+// The per-record checksum is the same XOR fold the checkpoint container
+// uses (one shared definition in `dp_types::wire`), so a trace record
+// and a checkpoint section corrupt and verify identically.
+use dp_types::wire::xor_fold;
+use dp_types::{ByteReader, ByteWriter, Interner, TraceEvent};
 use std::fmt;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 
 const MAGIC: &[u8; 4] = b"DPTR";
 const VERSION: u8 = 2;
-
-const TAG_READ: u8 = 0;
-const TAG_WRITE: u8 = 1;
-const TAG_LOOP_BEGIN: u8 = 2;
-const TAG_LOOP_ITER: u8 = 3;
-const TAG_LOOP_END: u8 = 4;
-const TAG_CALL_BEGIN: u8 = 5;
-const TAG_CALL_END: u8 = 6;
-const TAG_DEALLOC: u8 = 7;
-
-/// Payload size (fields only, excluding tag and checksum) of each record
-/// kind; `None` for tags the format does not define.
-fn payload_len(tag: u8) -> Option<usize> {
-    Some(match tag {
-        TAG_READ | TAG_WRITE => 8 + 8 + 4 + 4 + 2,
-        TAG_LOOP_BEGIN => 4 + 4 + 2 + 8,
-        TAG_LOOP_ITER => 4 + 8 + 2 + 8,
-        TAG_LOOP_END => 4 + 4 + 8 + 2 + 8,
-        TAG_CALL_BEGIN | TAG_CALL_END => 4 + 2 + 8,
-        TAG_DEALLOC => 8 + 8 + 2 + 8,
-        _ => return None,
-    })
-}
-
-const MAX_PAYLOAD: usize = 26;
-
-// The per-record checksum is the same XOR fold the checkpoint container
-// uses (one shared definition in `dp_types::wire`), so a trace record
-// and a checkpoint section corrupt and verify identically.
-use dp_types::wire::xor_fold;
 
 /// Why a trace file could not be read.
 ///
@@ -153,7 +129,7 @@ impl From<io::Error> for TraceFileError {
 /// Streams trace events to a byte sink.
 pub struct TraceWriter<W: Write> {
     out: BufWriter<W>,
-    rec: Vec<u8>,
+    rec: ByteWriter,
     events: u64,
     error: Option<io::Error>,
 }
@@ -171,14 +147,11 @@ impl<W: Write> TraceWriter<W> {
         let mut out = BufWriter::new(sink);
         out.write_all(MAGIC)?;
         out.write_all(&[VERSION])?;
-        let n = interner.len() as u32;
-        out.write_all(&n.to_le_bytes())?;
-        for id in 0..n {
-            let name = interner.resolve(id).as_bytes();
-            out.write_all(&(name.len() as u32).to_le_bytes())?;
-            out.write_all(name)?;
-        }
-        Ok(TraceWriter { out, rec: Vec::with_capacity(1 + MAX_PAYLOAD), events: 0, error: None })
+        let mut names = ByteWriter::new();
+        codec::write_name_table(&mut names, interner.names());
+        out.write_all(names.as_bytes())?;
+        let rec = ByteWriter::with_capacity(codec::MAX_RECORD_LEN + 1);
+        Ok(TraceWriter { out, rec, events: 0, error: None })
     }
 
     /// Events written so far.
@@ -200,60 +173,10 @@ impl<W: Write> TraceWriter<W> {
         // byte covers exactly the bytes written.
         let r = &mut self.rec;
         r.clear();
-        match *ev {
-            TraceEvent::Access(a) => {
-                r.push(if a.kind.is_write() { TAG_WRITE } else { TAG_READ });
-                r.extend_from_slice(&a.addr.to_le_bytes());
-                r.extend_from_slice(&a.ts.to_le_bytes());
-                r.extend_from_slice(&a.loc.pack().to_le_bytes());
-                r.extend_from_slice(&a.var.to_le_bytes());
-                r.extend_from_slice(&a.thread.to_le_bytes());
-            }
-            TraceEvent::LoopBegin { loop_id, loc, thread, ts } => {
-                r.push(TAG_LOOP_BEGIN);
-                r.extend_from_slice(&loop_id.to_le_bytes());
-                r.extend_from_slice(&loc.pack().to_le_bytes());
-                r.extend_from_slice(&thread.to_le_bytes());
-                r.extend_from_slice(&ts.to_le_bytes());
-            }
-            TraceEvent::LoopIter { loop_id, iter, thread, ts } => {
-                r.push(TAG_LOOP_ITER);
-                r.extend_from_slice(&loop_id.to_le_bytes());
-                r.extend_from_slice(&iter.to_le_bytes());
-                r.extend_from_slice(&thread.to_le_bytes());
-                r.extend_from_slice(&ts.to_le_bytes());
-            }
-            TraceEvent::LoopEnd { loop_id, loc, iters, thread, ts } => {
-                r.push(TAG_LOOP_END);
-                r.extend_from_slice(&loop_id.to_le_bytes());
-                r.extend_from_slice(&loc.pack().to_le_bytes());
-                r.extend_from_slice(&iters.to_le_bytes());
-                r.extend_from_slice(&thread.to_le_bytes());
-                r.extend_from_slice(&ts.to_le_bytes());
-            }
-            TraceEvent::CallBegin { func, thread, ts } => {
-                r.push(TAG_CALL_BEGIN);
-                r.extend_from_slice(&func.to_le_bytes());
-                r.extend_from_slice(&thread.to_le_bytes());
-                r.extend_from_slice(&ts.to_le_bytes());
-            }
-            TraceEvent::CallEnd { func, thread, ts } => {
-                r.push(TAG_CALL_END);
-                r.extend_from_slice(&func.to_le_bytes());
-                r.extend_from_slice(&thread.to_le_bytes());
-                r.extend_from_slice(&ts.to_le_bytes());
-            }
-            TraceEvent::Dealloc { base, len, thread, ts } => {
-                r.push(TAG_DEALLOC);
-                r.extend_from_slice(&base.to_le_bytes());
-                r.extend_from_slice(&len.to_le_bytes());
-                r.extend_from_slice(&thread.to_le_bytes());
-                r.extend_from_slice(&ts.to_le_bytes());
-            }
-        }
-        let ck = xor_fold(r[0], &r[1..]);
-        r.push(ck);
-        self.out.write_all(r)?;
+        codec::encode(ev, r);
+        let ck = xor_fold(r.as_bytes()[0], &r.as_bytes()[1..]);
+        r.u8(ck);
+        self.out.write_all(r.as_bytes())?;
         self.events += 1;
         Ok(())
     }
@@ -299,40 +222,14 @@ impl<R: Read> TraceReader<R> {
         if hdr[4] != VERSION {
             return Err(TraceFileError::UnsupportedVersion(hdr[4]));
         }
-        let mut offset = 5u64;
-        let mut cnt = [0u8; 4];
-        input.read_exact(&mut cnt).map_err(Self::name_table_eof)?;
-        offset += 4;
-        let n = u32::from_le_bytes(cnt);
-        let mut interner = Interner::new();
-        for id in 0..n {
-            let mut len = [0u8; 4];
-            input.read_exact(&mut len).map_err(Self::name_table_eof)?;
-            let len = u32::from_le_bytes(len) as usize;
-            if len > 1 << 20 {
-                return Err(TraceFileError::BadNameTable("name longer than 1 MiB"));
-            }
-            let mut buf = vec![0u8; len];
-            input.read_exact(&mut buf).map_err(Self::name_table_eof)?;
-            offset += 4 + len as u64;
-            let name = String::from_utf8(buf)
-                .map_err(|_| TraceFileError::BadNameTable("name is not valid UTF-8"))?;
-            let got = interner.intern(&name);
-            if got != id && id != 0 {
-                // id 0 is the pre-interned "*"; other collisions mean the
-                // table was malformed but interning is still usable.
-                continue;
-            }
-        }
+        let interner = codec::read_name_table(&mut input).map_err(|e| match e {
+            NameTableError::Io(e) => TraceFileError::Io(e),
+            NameTableError::Truncated => TraceFileError::BadNameTable("truncated name table"),
+            NameTableError::Invalid(why) => TraceFileError::BadNameTable(why),
+        })?;
+        // Header: magic + version, count, then a length prefix per name.
+        let offset = 5 + 4 + interner.names().iter().map(|n| 4 + n.len() as u64).sum::<u64>();
         Ok(TraceReader { input, interner, offset, records: 0, done: false })
-    }
-
-    fn name_table_eof(e: io::Error) -> TraceFileError {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            TraceFileError::BadNameTable("truncated name table")
-        } else {
-            TraceFileError::Io(e)
-        }
     }
 
     /// The variable names recorded in the trace.
@@ -358,11 +255,13 @@ impl<R: Read> TraceReader<R> {
             Err(e) => return Err(e.into()),
         }
         let tag = tag[0];
-        let len = payload_len(tag).ok_or(TraceFileError::UnknownTag { tag, offset: rec_off })?;
-        let mut buf = [0u8; MAX_PAYLOAD + 1];
-        let body = &mut buf[..len + 1]; // payload + checksum byte
-        match self.input.read_exact(body) {
-            Ok(()) => self.offset += body.len() as u64,
+        let len =
+            codec::record_len(tag).ok_or(TraceFileError::UnknownTag { tag, offset: rec_off })?;
+        let mut buf = [0u8; codec::MAX_RECORD_LEN + 1];
+        buf[0] = tag;
+        let rest = &mut buf[1..len + 1]; // fields + checksum byte
+        match self.input.read_exact(rest) {
+            Ok(()) => self.offset += rest.len() as u64,
             Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
                 return Err(TraceFileError::TornRecord {
                     offset: rec_off,
@@ -371,69 +270,11 @@ impl<R: Read> TraceReader<R> {
             }
             Err(e) => return Err(e.into()),
         }
-        let (body, ck) = (&buf[..len], buf[len]);
-        if xor_fold(tag, body) != ck {
+        if xor_fold(tag, &buf[1..len]) != buf[len] {
             return Err(TraceFileError::Checksum { offset: rec_off, records_read: self.records });
         }
-        let mut pos = 0usize;
-        macro_rules! get {
-            ($ty:ty) => {{
-                const N: usize = std::mem::size_of::<$ty>();
-                let v = <$ty>::from_le_bytes(body[pos..pos + N].try_into().unwrap());
-                pos += N;
-                v
-            }};
-        }
-        let ev = match tag {
-            t @ (TAG_READ | TAG_WRITE) => {
-                let addr = get!(u64);
-                let ts = get!(u64);
-                let loc = SourceLoc::unpack(get!(u32));
-                let var = get!(u32);
-                let thread = get!(u16);
-                TraceEvent::Access(MemAccess {
-                    addr,
-                    ts,
-                    loc,
-                    var,
-                    thread,
-                    kind: if t == TAG_WRITE { AccessKind::Write } else { AccessKind::Read },
-                })
-            }
-            TAG_LOOP_BEGIN => TraceEvent::LoopBegin {
-                loop_id: get!(u32),
-                loc: SourceLoc::unpack(get!(u32)),
-                thread: get!(u16),
-                ts: get!(u64),
-            },
-            TAG_LOOP_ITER => TraceEvent::LoopIter {
-                loop_id: get!(u32),
-                iter: get!(u64),
-                thread: get!(u16),
-                ts: get!(u64),
-            },
-            TAG_LOOP_END => TraceEvent::LoopEnd {
-                loop_id: get!(u32),
-                loc: SourceLoc::unpack(get!(u32)),
-                iters: get!(u64),
-                thread: get!(u16),
-                ts: get!(u64),
-            },
-            TAG_CALL_BEGIN => {
-                TraceEvent::CallBegin { func: get!(u32), thread: get!(u16), ts: get!(u64) }
-            }
-            TAG_CALL_END => {
-                TraceEvent::CallEnd { func: get!(u32), thread: get!(u16), ts: get!(u64) }
-            }
-            TAG_DEALLOC => TraceEvent::Dealloc {
-                base: get!(u64),
-                len: get!(u64),
-                thread: get!(u16),
-                ts: get!(u64),
-            },
-            _ => unreachable!("payload_len admitted the tag"),
-        };
-        debug_assert_eq!(pos, len);
+        let ev = codec::decode(&mut ByteReader::new(&buf[..len]))
+            .expect("a record of its tag's full length decodes");
         Ok(Some(ev))
     }
 }
@@ -469,6 +310,7 @@ mod tests {
     use crate::interp::Interp;
     use crate::tracer::CollectTracer;
     use dp_types::loc::loc;
+    use dp_types::MemAccess;
 
     fn sample_events() -> Vec<TraceEvent> {
         vec![
@@ -524,14 +366,54 @@ mod tests {
         assert_eq!(evs.len(), 1);
     }
 
+    /// Pins the bytes of one record per event kind, so a change to the
+    /// shared codec cannot silently alter the v2 file format.
     #[test]
-    fn truncated_name_table_is_typed() {
+    fn v2_records_are_byte_stable() {
+        let (a, b, c, d) = (0x0102_0304_0506_0708, 0x1112_1314_1516_1718, 0x2122_2324, 0x3132);
+        let (l, n, f) = (0x4142_4344, 0x5152_5354_5556_5758, 0x6162_6364);
+        let events = [
+            TraceEvent::Access(MemAccess::read(a, b, loc(2, 61), c, d)),
+            TraceEvent::Access(MemAccess::write(a, b, loc(2, 61), c, d)),
+            TraceEvent::LoopBegin { loop_id: l, loc: loc(1, 10), thread: d, ts: b },
+            TraceEvent::LoopIter { loop_id: l, iter: n, thread: d, ts: b },
+            TraceEvent::LoopEnd { loop_id: l, loc: loc(1, 20), iters: n, thread: d, ts: b },
+            TraceEvent::CallBegin { func: f, thread: d, ts: b },
+            TraceEvent::CallEnd { func: f, thread: d, ts: b },
+            TraceEvent::Dealloc { base: a, len: n, thread: d, ts: b },
+        ];
+        let golden = [
+            "00080706050403020118171615141312113d00000224232221323138",
+            "01080706050403020118171615141312113d00000224232221323139",
+            "02444342410a0000013231181716151413121106",
+            "034443424158575655545352513231181716151413121104",
+            "04444342411400000158575655545352513231181716151413121116",
+            "0564636261323118171615141312110a",
+            "06646362613231181716151413121109",
+            "0708070605040302015857565554535251323118171615141312110c",
+        ];
+        let header = record(&[]).len();
+        for (ev, hex) in events.into_iter().zip(golden) {
+            let got: String = record(&[ev])[header..].iter().map(|x| format!("{x:02x}")).collect();
+            assert_eq!(got, hex, "{ev:?}");
+        }
+    }
+
+    #[test]
+    fn malformed_name_table_is_typed() {
         let full = record(&[]);
         // Cut inside the header's name-table count.
         assert!(matches!(
             TraceReader::new(&full[..7]),
             Err(TraceFileError::BadNameTable("truncated name table"))
         ));
+        // A repeated name ("x" twice) would shift every later id.
+        let mut names = Interner::new();
+        names.intern("x");
+        names.intern("y");
+        let mut bytes = TraceWriter::with_names(Vec::new(), &names).unwrap().finish().unwrap();
+        *bytes.last_mut().unwrap() = b'x';
+        assert!(matches!(TraceReader::new(&bytes[..]), Err(TraceFileError::BadNameTable(_))));
     }
 
     #[test]

@@ -30,6 +30,21 @@ impl Interner {
         i
     }
 
+    /// The interner a name table describes: `names[i]` interned with id
+    /// `i`, starting from an empty table (so the `"*"` placeholder is
+    /// present exactly when the table lists it). Fails with the index of
+    /// the first name that does not intern to its own position — a
+    /// repeat, which would otherwise shift every later id.
+    pub fn from_names<S: AsRef<str>>(names: &[S]) -> Result<Interner, usize> {
+        let mut i = Interner::default();
+        for (id, name) in names.iter().enumerate() {
+            if i.intern(name.as_ref()) as usize != id {
+                return Err(id);
+            }
+        }
+        Ok(i)
+    }
+
     /// Interns `name`, returning its stable id.
     pub fn intern(&mut self, name: &str) -> VarId {
         if let Some(&id) = self.index.get(name) {
@@ -50,6 +65,11 @@ impl Interner {
     /// Resolves, returning `None` for foreign ids.
     pub fn get(&self, id: VarId) -> Option<&str> {
         self.names.get(id as usize).map(String::as_str)
+    }
+
+    /// Every interned name, in id order.
+    pub fn names(&self) -> &[String] {
+        &self.names
     }
 
     /// Number of interned names (including the pre-assigned `"*"`).

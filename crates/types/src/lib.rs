@@ -7,6 +7,8 @@
 //! - [`MemAccess`] / [`AccessKind`] — one instrumented memory access.
 //! - [`TraceEvent`] — the full instrumentation event stream (accesses plus
 //!   the control-flow and lifetime events of Section III).
+//! - [`codec`] — the one byte encoding of events and name tables, shared
+//!   by trace files and DPSV frames.
 //! - [`DepType`] / [`Dependence`] — profiled data dependences in the
 //!   `<sink, type, source>` triple representation of Section III-A.
 //! - [`Interner`] — variable-name interning so accesses carry a cheap
@@ -16,6 +18,7 @@
 #![warn(missing_docs)]
 
 pub mod access;
+pub mod codec;
 pub mod dep;
 pub mod event;
 pub mod fxhash;

@@ -1,4 +1,4 @@
-//! `DPSV` version 2 — the length-prefixed, checksummed frame protocol the
+//! `DPSV` version 3 — the length-prefixed, checksummed frame protocol the
 //! networked profiling service speaks.
 //!
 //! The paper's pipeline decouples event production from dependence
@@ -30,8 +30,8 @@
 //! |-----|--------------|-----------|---------|
 //! | 1   | `Hello`      | C → S     | session name, opaque engine spec, checkpoint interval, variable-name table |
 //! | 2   | `HelloAck`   | S → C     | session id, resume position |
-//! | 3   | `Chunk`      | C → S     | absolute stream position of the first access + batched memory accesses |
-//! | 4   | `LoopEvent`  | C → S     | absolute stream position + one non-access trace event |
+//! | 3   | `Chunk`      | C → S     | absolute stream position of the first event + that many events, accesses and control events mixed in stream order |
+//! | 4   | —            |           | retired (v2's per-event `LoopEvent`); decodes as an unknown frame |
 //! | 5   | `Sync`       | C → S     | client-chosen nonce; the server answers with `SyncAck` |
 //! | 6   | `Finish`     | C → S     | empty; server finalizes and replies `Report` |
 //! | 7   | `StatsRequest` | C → S   | empty; server replies `Stats` |
@@ -43,37 +43,42 @@
 //! | 13  | `Query`      | C → S     | ask for a live analysis snapshot: correlation id + [`query_kind`] selector |
 //! | 14  | `QueryResult`| S → C     | the snapshot: echoed id + kind, JSON report answered from incremental state |
 //!
+//! Each `Chunk` event is one record of the shared event codec
+//! ([`crate::codec`]), the bytes a trace file stores minus the
+//! per-record checksum. Since v3 a control event no longer costs a chunk
+//! flush plus a frame of its own.
+//!
 //! `Query` (new in v2) may arrive at any point between `HelloAck` and
 //! `Finish`; the server answers from the online analysis state it folds
 //! as chunks merge, so a query never stalls the feed behind a full
 //! re-analysis. The first `Query` of a session lazily enables delta
 //! tracking — sessions that never query pay nothing.
 //!
-//! `Chunk` and `LoopEvent` frames are *positional*: they carry the
-//! absolute index of their first event in the session's logical event
-//! stream. A server that already profiled `N` events skips anything
-//! below `N` exactly — resend overlap after a reconnect and wire-level
-//! duplicate delivery both dedupe to exactly-once profiling.
+//! `Chunk` frames are *positional*: they carry the absolute index of
+//! their first event in the session's logical event stream, and event
+//! `i` of the chunk sits at `base + i`. A server that already profiled
+//! `N` events skips anything below `N` exactly — resend overlap after a
+//! reconnect and wire-level duplicate delivery both dedupe to
+//! exactly-once profiling.
 //!
 //! The engine spec inside `Hello` is an opaque blob by design: this crate
 //! cannot see the profiler's configuration types, so the spec is encoded
 //! and decoded by `dp-core` and merely carried here — the same pattern
 //! the checkpoint container uses for its CONFIG section.
 
-use crate::access::MemAccess;
+use crate::codec::{self, NameTableError};
 use crate::event::TraceEvent;
-use crate::loc::SourceLoc;
 use crate::wire::{read_section, write_section, ByteReader, ByteWriter, WireError};
-use crate::AccessKind;
 use std::fmt;
 use std::io::{self, Read, Write};
 
 /// Connection preamble magic.
 pub const PROTOCOL_MAGIC: [u8; 4] = *b"DPSV";
 /// Current protocol version. v2 added the `Query`/`QueryResult` frames
-/// (live analysis snapshots); everything a v1 peer could say is
-/// unchanged.
-pub const PROTOCOL_VERSION: u8 = 2;
+/// (live analysis snapshots); v3 made `Chunk` carry control events
+/// mixed with accesses and retired the `LoopEvent` frame, so a v2 peer
+/// is refused at the preamble.
+pub const PROTOCOL_VERSION: u8 = 3;
 
 /// Default upper bound on a frame's payload length. A frame header
 /// announcing more than this is rejected before any allocation — the
@@ -83,9 +88,10 @@ pub const MAX_FRAME_BYTES: usize = 4 << 20;
 
 const TAG_HELLO: u8 = 1;
 const TAG_HELLO_ACK: u8 = 2;
-const TAG_CHUNK: u8 = 3;
-const TAG_LOOP_EVENT: u8 = 4;
-const TAG_SYNC: u8 = 5;
+/// Tag of [`Frame::Chunk`].
+pub const TAG_CHUNK: u8 = 3;
+/// Tag of [`Frame::Sync`].
+pub const TAG_SYNC: u8 = 5;
 const TAG_FINISH: u8 = 6;
 const TAG_STATS_REQUEST: u8 = 7;
 const TAG_STATS: u8 = 8;
@@ -219,22 +225,16 @@ pub enum Frame {
         /// (restored from a checkpoint); the client skips this many.
         resume_from: u64,
     },
-    /// A batch of memory accesses — the bulk of the stream.
+    /// A run of consecutive stream events — accesses and control events
+    /// mixed, in stream order. The whole event stream travels in these.
     Chunk {
-        /// Absolute index of the first access in the session's logical
-        /// event stream. The server skips any prefix it has already
-        /// profiled, so resends and duplicates dedupe exactly.
+        /// Absolute index of the first event in the session's logical
+        /// event stream; event `i` sits at `base + i`. The server skips
+        /// any prefix it has already profiled, so resends and duplicates
+        /// dedupe exactly.
         base: u64,
-        /// The batched accesses.
-        accesses: Vec<MemAccess>,
-    },
-    /// One non-access event (loop boundary, call boundary, dealloc),
-    /// in-order relative to surrounding chunks.
-    LoopEvent {
-        /// Absolute index of this event in the session's logical stream.
-        seq: u64,
-        /// The event itself (never [`TraceEvent::Access`]).
-        ev: TraceEvent,
+        /// The batched events.
+        events: Vec<TraceEvent>,
     },
     /// Watermark probe: the server answers with [`Frame::SyncAck`] once
     /// every frame before it has been consumed.
@@ -299,119 +299,6 @@ pub enum Frame {
     },
 }
 
-fn put_access(w: &mut ByteWriter, a: &MemAccess) {
-    w.u8(a.kind.is_write() as u8);
-    w.u64(a.addr);
-    w.u64(a.ts);
-    w.u32(a.loc.pack());
-    w.u32(a.var);
-    w.u16(a.thread);
-}
-
-fn get_access(r: &mut ByteReader<'_>) -> Result<MemAccess, WireError> {
-    let kind = match r.u8()? {
-        0 => AccessKind::Read,
-        1 => AccessKind::Write,
-        _ => return Err(WireError::Invalid("access kind byte must be 0 or 1")),
-    };
-    Ok(MemAccess {
-        addr: r.u64()?,
-        ts: r.u64()?,
-        loc: SourceLoc::unpack(r.u32()?),
-        var: r.u32()?,
-        thread: r.u16()?,
-        kind,
-    })
-}
-
-// LoopEvent sub-tags (accesses travel in Chunk frames, never here).
-const EV_LOOP_BEGIN: u8 = 2;
-const EV_LOOP_ITER: u8 = 3;
-const EV_LOOP_END: u8 = 4;
-const EV_CALL_BEGIN: u8 = 5;
-const EV_CALL_END: u8 = 6;
-const EV_DEALLOC: u8 = 7;
-
-fn put_event(w: &mut ByteWriter, ev: &TraceEvent) -> Result<(), WireError> {
-    match *ev {
-        TraceEvent::Access(_) => {
-            return Err(WireError::Invalid("accesses travel in Chunk frames, not LoopEvent"))
-        }
-        TraceEvent::LoopBegin { loop_id, loc, thread, ts } => {
-            w.u8(EV_LOOP_BEGIN);
-            w.u32(loop_id);
-            w.u32(loc.pack());
-            w.u16(thread);
-            w.u64(ts);
-        }
-        TraceEvent::LoopIter { loop_id, iter, thread, ts } => {
-            w.u8(EV_LOOP_ITER);
-            w.u32(loop_id);
-            w.u64(iter);
-            w.u16(thread);
-            w.u64(ts);
-        }
-        TraceEvent::LoopEnd { loop_id, loc, iters, thread, ts } => {
-            w.u8(EV_LOOP_END);
-            w.u32(loop_id);
-            w.u32(loc.pack());
-            w.u64(iters);
-            w.u16(thread);
-            w.u64(ts);
-        }
-        TraceEvent::CallBegin { func, thread, ts } => {
-            w.u8(EV_CALL_BEGIN);
-            w.u32(func);
-            w.u16(thread);
-            w.u64(ts);
-        }
-        TraceEvent::CallEnd { func, thread, ts } => {
-            w.u8(EV_CALL_END);
-            w.u32(func);
-            w.u16(thread);
-            w.u64(ts);
-        }
-        TraceEvent::Dealloc { base, len, thread, ts } => {
-            w.u8(EV_DEALLOC);
-            w.u64(base);
-            w.u64(len);
-            w.u16(thread);
-            w.u64(ts);
-        }
-    }
-    Ok(())
-}
-
-fn get_event(r: &mut ByteReader<'_>) -> Result<TraceEvent, WireError> {
-    Ok(match r.u8()? {
-        EV_LOOP_BEGIN => TraceEvent::LoopBegin {
-            loop_id: r.u32()?,
-            loc: SourceLoc::unpack(r.u32()?),
-            thread: r.u16()?,
-            ts: r.u64()?,
-        },
-        EV_LOOP_ITER => TraceEvent::LoopIter {
-            loop_id: r.u32()?,
-            iter: r.u64()?,
-            thread: r.u16()?,
-            ts: r.u64()?,
-        },
-        EV_LOOP_END => TraceEvent::LoopEnd {
-            loop_id: r.u32()?,
-            loc: SourceLoc::unpack(r.u32()?),
-            iters: r.u64()?,
-            thread: r.u16()?,
-            ts: r.u64()?,
-        },
-        EV_CALL_BEGIN => TraceEvent::CallBegin { func: r.u32()?, thread: r.u16()?, ts: r.u64()? },
-        EV_CALL_END => TraceEvent::CallEnd { func: r.u32()?, thread: r.u16()?, ts: r.u64()? },
-        EV_DEALLOC => {
-            TraceEvent::Dealloc { base: r.u64()?, len: r.u64()?, thread: r.u16()?, ts: r.u64()? }
-        }
-        _ => return Err(WireError::Invalid("unknown LoopEvent sub-tag")),
-    })
-}
-
 fn get_string(r: &mut ByteReader<'_>) -> Result<String, WireError> {
     String::from_utf8(r.blob()?.to_vec()).map_err(|_| WireError::Invalid("string is not UTF-8"))
 }
@@ -423,7 +310,6 @@ impl Frame {
             Frame::Hello(_) => TAG_HELLO,
             Frame::HelloAck { .. } => TAG_HELLO_ACK,
             Frame::Chunk { .. } => TAG_CHUNK,
-            Frame::LoopEvent { .. } => TAG_LOOP_EVENT,
             Frame::Sync { .. } => TAG_SYNC,
             Frame::Finish => TAG_FINISH,
             Frame::StatsRequest => TAG_STATS_REQUEST,
@@ -437,34 +323,53 @@ impl Frame {
         }
     }
 
+    /// Length of [`Frame::encode_payload`]'s output, computed from the
+    /// field widths and the event codec's length table without encoding.
+    pub fn payload_len(&self) -> usize {
+        let blob = |b: &[u8]| 4 + b.len();
+        match self {
+            Frame::Hello(h) => {
+                blob(h.session.as_bytes())
+                    + blob(&h.spec)
+                    + 8
+                    + 4
+                    + h.names.iter().map(|n| blob(n.as_bytes())).sum::<usize>()
+            }
+            Frame::HelloAck { .. } | Frame::SyncAck { .. } => 16,
+            Frame::Chunk { events, .. } => {
+                12 + events.iter().map(codec::encoded_len).sum::<usize>()
+            }
+            Frame::Sync { .. } | Frame::Busy { .. } => 8,
+            Frame::Finish | Frame::StatsRequest => 0,
+            Frame::Stats { json } => blob(json.as_bytes()),
+            Frame::Report { text } => blob(text.as_bytes()),
+            Frame::Error { message, .. } => 2 + blob(message.as_bytes()),
+            Frame::Query { .. } => 9,
+            Frame::QueryResult { json, .. } => 9 + blob(json.as_bytes()),
+        }
+    }
+
     /// Encodes the payload (everything between the length prefix and the
-    /// checksum). Fails only for a [`Frame::LoopEvent`] holding an access.
-    pub fn encode_payload(&self) -> Result<Vec<u8>, WireError> {
-        let mut w = ByteWriter::new();
+    /// checksum).
+    pub fn encode_payload(&self) -> Vec<u8> {
+        let mut w = ByteWriter::with_capacity(self.payload_len());
         match self {
             Frame::Hello(h) => {
                 w.blob(h.session.as_bytes());
                 w.blob(&h.spec);
                 w.u64(h.checkpoint_every);
-                w.u32(h.names.len() as u32);
-                for n in &h.names {
-                    w.blob(n.as_bytes());
-                }
+                codec::write_name_table(&mut w, &h.names);
             }
             Frame::HelloAck { session_id, resume_from } => {
                 w.u64(*session_id);
                 w.u64(*resume_from);
             }
-            Frame::Chunk { base, accesses } => {
+            Frame::Chunk { base, events } => {
                 w.u64(*base);
-                w.u32(accesses.len() as u32);
-                for a in accesses {
-                    put_access(&mut w, a);
+                w.u32(events.len() as u32);
+                for ev in events {
+                    codec::encode(ev, &mut w);
                 }
-            }
-            Frame::LoopEvent { seq, ev } => {
-                w.u64(*seq);
-                put_event(&mut w, ev)?;
             }
             Frame::Sync { nonce } => w.u64(*nonce),
             Frame::Finish | Frame::StatsRequest => {}
@@ -489,7 +394,8 @@ impl Frame {
                 w.blob(json.as_bytes());
             }
         }
-        Ok(w.into_bytes())
+        debug_assert_eq!(w.len(), self.payload_len(), "payload_len disagrees with encoding");
+        w.into_bytes()
     }
 
     /// Decodes a frame from its tag and payload. Every malformation is a
@@ -502,33 +408,27 @@ impl Frame {
                 let session = get_string(&mut r)?;
                 let spec = r.blob()?.to_vec();
                 let checkpoint_every = r.u64()?;
-                let n = r.u32()? as usize;
-                if n > payload.len() {
-                    // Each name costs at least a length prefix, so a count
-                    // beyond the payload size is impossible — reject before
-                    // reserving anything.
-                    return Err(WireError::Invalid("name count exceeds payload size").into());
-                }
-                let mut names = Vec::with_capacity(n);
-                for _ in 0..n {
-                    names.push(get_string(&mut r)?);
-                }
+                let table = codec::read_name_table(&mut r).map_err(|e| match e {
+                    NameTableError::Invalid(why) => WireError::Invalid(why),
+                    NameTableError::Truncated | NameTableError::Io(_) => WireError::Truncated,
+                })?;
+                let names = table.names().to_vec();
                 Frame::Hello(Hello { session, spec, checkpoint_every, names })
             }
             TAG_HELLO_ACK => Frame::HelloAck { session_id: r.u64()?, resume_from: r.u64()? },
             TAG_CHUNK => {
                 let base = r.u64()?;
                 let n = r.u32()? as usize;
-                if n.saturating_mul(ACCESS_WIRE_BYTES) > r.remaining() {
-                    return Err(WireError::Invalid("access count exceeds payload size").into());
+                if n.saturating_mul(codec::MIN_RECORD_LEN) > r.remaining() {
+                    // Reject an impossible count before reserving for it.
+                    return Err(WireError::Invalid("event count exceeds payload size").into());
                 }
-                let mut accesses = Vec::with_capacity(n);
+                let mut events = Vec::with_capacity(n);
                 for _ in 0..n {
-                    accesses.push(get_access(&mut r)?);
+                    events.push(codec::decode(&mut r)?);
                 }
-                Frame::Chunk { base, accesses }
+                Frame::Chunk { base, events }
             }
-            TAG_LOOP_EVENT => Frame::LoopEvent { seq: r.u64()?, ev: get_event(&mut r)? },
             TAG_SYNC => Frame::Sync { nonce: r.u64()? },
             TAG_FINISH => Frame::Finish,
             TAG_STATS_REQUEST => Frame::StatsRequest,
@@ -549,9 +449,6 @@ impl Frame {
         Ok(frame)
     }
 }
-
-/// Bytes one access occupies inside a `Chunk` payload.
-pub const ACCESS_WIRE_BYTES: usize = 1 + 8 + 8 + 4 + 4 + 2;
 
 /// Writes the connection preamble (`DPSV` + version).
 pub fn write_preamble(w: &mut impl Write) -> io::Result<()> {
@@ -580,7 +477,7 @@ pub fn read_preamble(r: &mut impl Read) -> Result<(), ProtocolError> {
 
 /// Writes one frame (section framing + checksum) to the stream.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<(), ProtocolError> {
-    let payload = frame.encode_payload()?;
+    let payload = frame.encode_payload();
     let mut out = ByteWriter::new();
     write_section(&mut out, frame.tag(), &payload);
     w.write_all(&out.into_bytes())?;
@@ -648,6 +545,7 @@ fn read_mid_frame(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::access::MemAccess;
     use crate::loc::loc;
 
     fn sample_frames() -> Vec<Frame> {
@@ -661,35 +559,24 @@ mod tests {
             Frame::HelloAck { session_id: 42, resume_from: 12_345 },
             Frame::Chunk {
                 base: 1_000_000,
-                accesses: vec![
-                    MemAccess::write(0xdead_beef, 3, loc(2, 60), 7, 1),
-                    MemAccess::read(0xdead_beef, 4, loc(2, 61), 7, 2),
+                events: vec![
+                    TraceEvent::LoopBegin { loop_id: 3, loc: loc(1, 10), thread: 0, ts: 1 },
+                    TraceEvent::LoopIter { loop_id: 3, iter: 9, thread: 0, ts: 2 },
+                    TraceEvent::Access(MemAccess::write(0xdead_beef, 3, loc(2, 60), 7, 1)),
+                    TraceEvent::Access(MemAccess::read(0xdead_beef, 4, loc(2, 61), 7, 2)),
+                    TraceEvent::CallBegin { func: 5, thread: 1, ts: 4 },
+                    TraceEvent::CallEnd { func: 5, thread: 1, ts: 5 },
+                    TraceEvent::Dealloc { base: 0x100, len: 64, thread: 0, ts: 6 },
+                    TraceEvent::LoopEnd {
+                        loop_id: 3,
+                        loc: loc(1, 20),
+                        iters: 10,
+                        thread: 0,
+                        ts: 3,
+                    },
                 ],
             },
-            Frame::LoopEvent {
-                seq: 11,
-                ev: TraceEvent::LoopBegin { loop_id: 3, loc: loc(1, 10), thread: 0, ts: 1 },
-            },
-            Frame::LoopEvent {
-                seq: 12,
-                ev: TraceEvent::LoopIter { loop_id: 3, iter: 9, thread: 0, ts: 2 },
-            },
-            Frame::LoopEvent {
-                seq: 13,
-                ev: TraceEvent::LoopEnd {
-                    loop_id: 3,
-                    loc: loc(1, 20),
-                    iters: 10,
-                    thread: 0,
-                    ts: 3,
-                },
-            },
-            Frame::LoopEvent { seq: 14, ev: TraceEvent::CallBegin { func: 5, thread: 1, ts: 4 } },
-            Frame::LoopEvent { seq: 15, ev: TraceEvent::CallEnd { func: 5, thread: 1, ts: 5 } },
-            Frame::LoopEvent {
-                seq: 16,
-                ev: TraceEvent::Dealloc { base: 0x100, len: 64, thread: 0, ts: 6 },
-            },
+            Frame::Chunk { base: 0, events: Vec::new() },
             Frame::Sync { nonce: 7 },
             Frame::Finish,
             Frame::StatsRequest,
@@ -708,6 +595,7 @@ mod tests {
         let mut buf = Vec::new();
         write_preamble(&mut buf).unwrap();
         for f in sample_frames() {
+            assert_eq!(f.payload_len(), f.encode_payload().len(), "{f:?}");
             write_frame(&mut buf, &f).unwrap();
         }
         let mut r = &buf[..];
@@ -722,6 +610,11 @@ mod tests {
     #[test]
     fn preamble_rejects_wrong_magic_and_version() {
         assert!(matches!(read_preamble(&mut &b"DPCK\x01"[..]), Err(ProtocolError::BadMagic)));
+        // A v2 peer would still send per-event LoopEvent frames.
+        assert!(matches!(
+            read_preamble(&mut &b"DPSV\x02"[..]),
+            Err(ProtocolError::UnsupportedVersion(2))
+        ));
         assert!(matches!(
             read_preamble(&mut &b"DPSV\x09"[..]),
             Err(ProtocolError::UnsupportedVersion(9))
@@ -757,8 +650,10 @@ mod tests {
     #[test]
     fn bit_flips_fail_checksum_or_typed() {
         let mut clean = Vec::new();
-        let chunk =
-            Frame::Chunk { base: 0, accesses: vec![MemAccess::read(8, 1, loc(1, 1), 0, 0)] };
+        let chunk = Frame::Chunk {
+            base: 0,
+            events: vec![TraceEvent::Access(MemAccess::read(8, 1, loc(1, 1), 0, 0))],
+        };
         write_frame(&mut clean, &chunk).unwrap();
         for i in 0..clean.len() {
             let mut bad = clean.clone();
@@ -777,25 +672,34 @@ mod tests {
     }
 
     #[test]
-    fn access_in_loop_event_is_rejected() {
-        let f = Frame::LoopEvent {
-            seq: 0,
-            ev: TraceEvent::Access(MemAccess::read(8, 1, loc(1, 1), 0, 0)),
-        };
-        assert!(f.encode_payload().is_err());
+    fn impossible_event_count_is_rejected_before_allocation() {
+        let mut w = ByteWriter::new();
+        w.u64(0);
+        w.u32(u32::MAX);
+        let got = Frame::decode(TAG_CHUNK, w.as_bytes());
+        assert!(matches!(got, Err(ProtocolError::Wire(WireError::Invalid(_)))), "{got:?}");
     }
 
     #[test]
     fn unknown_tag_is_typed() {
-        let mut out = ByteWriter::new();
-        write_section(&mut out, 200, b"whatever");
-        let got = read_frame(&mut &out.into_bytes()[..], MAX_FRAME_BYTES);
-        assert!(matches!(got, Err(ProtocolError::UnknownFrame { tag: 200 })), "{got:?}");
+        // Tag 4 is v2's retired LoopEvent: sequence number + one record.
+        let mut loop_event = ByteWriter::new();
+        loop_event.u64(11);
+        codec::encode(&TraceEvent::CallBegin { func: 5, thread: 1, ts: 4 }, &mut loop_event);
+        for (tag, payload) in [(4, loop_event.as_bytes()), (200, b"whatever")] {
+            let mut out = ByteWriter::new();
+            write_section(&mut out, tag, payload);
+            let got = read_frame(&mut &out.into_bytes()[..], MAX_FRAME_BYTES);
+            assert!(
+                matches!(got, Err(ProtocolError::UnknownFrame { tag: t }) if t == tag),
+                "{got:?}"
+            );
+        }
     }
 
     #[test]
     fn trailing_payload_bytes_are_rejected() {
-        let mut payload = Frame::Sync { nonce: 3 }.encode_payload().unwrap();
+        let mut payload = Frame::Sync { nonce: 3 }.encode_payload();
         payload.push(0);
         assert!(matches!(
             Frame::decode(TAG_SYNC, &payload),

@@ -62,6 +62,21 @@ impl ByteWriter {
         ByteWriter { buf: Vec::new() }
     }
 
+    /// Creates an empty writer with room for `n` bytes.
+    pub fn with_capacity(n: usize) -> Self {
+        ByteWriter { buf: Vec::with_capacity(n) }
+    }
+
+    /// Discards everything written, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
+    /// The bytes written so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
     /// Appends one byte.
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -174,6 +189,16 @@ impl<'a> ByteReader<'a> {
     pub fn blob(&mut self) -> Result<&'a [u8], WireError> {
         let n = self.u32()? as usize;
         self.take(n)
+    }
+}
+
+/// Lets stream decoders (the name table) read from an in-memory payload.
+impl std::io::Read for ByteReader<'_> {
+    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+        let n = out.len().min(self.remaining());
+        out[..n].copy_from_slice(&self.buf[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(n)
     }
 }
 

@@ -57,7 +57,7 @@
 //! monitor that forces an emergency checkpoint and exits with code `6`
 //! when the pipeline stops making progress.
 //!
-//! `serve` runs the profiler as a network service speaking the DPSV v1
+//! `serve` runs the profiler as a network service speaking the DPSV v3
 //! frame protocol; `push` streams a recorded trace to it and prints the
 //! report the server sends back. Each push names a *session*; a server
 //! started with `--checkpoint-dir` checkpoints its sessions, and a push
@@ -1057,7 +1057,7 @@ fn run_replay(args: &Args) {
 }
 
 /// `depprof serve` — run the profiler as a long-lived network service.
-/// Listens for DPSV v1 connections, one profiling session per client,
+/// Listens for DPSV v3 connections, one profiling session per client,
 /// until SIGINT/SIGTERM; in-flight sessions are emergency-checkpointed
 /// on shutdown and resumed when their clients reconnect.
 fn run_serve(args: &Args) {
@@ -1214,9 +1214,7 @@ fn run_push(args: &Args) {
             std::process::exit(EXIT_CORRUPT);
         }
     };
-    let interner = reader.interner().clone();
-    let names: Vec<String> =
-        (0..interner.len()).map(|id| interner.resolve(id as u32).to_owned()).collect();
+    let names = reader.interner().names().to_vec();
 
     let session = args.session.clone().unwrap_or_else(|| {
         Path::new(path)

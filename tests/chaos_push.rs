@@ -17,7 +17,6 @@ use depprof::server::{
     push_with_retry, ChaosStream, NetFaultPlan, PushOptions, RetryPolicy, Server, ServerConfig,
 };
 use depprof::trace::workloads::synth;
-use depprof::trace::{Interp, TraceReader, TraceWriter};
 use depprof::types::TraceEvent;
 use proptest::prelude::*;
 use std::cell::Cell;
@@ -29,21 +28,10 @@ use std::sync::Arc;
 
 /// Records the synthetic workload both the clean and the interrupted
 /// pushes stream: small enough that a per-frame sweep stays fast, big
-/// enough to span many frames and several Sync probes. Loop iteration
-/// markers ride in their own frames, so even this short stream crosses
-/// ~100 frame boundaries.
+/// enough to span many frames and several Sync probes (182 events;
+/// see [`opts`] for how they map onto frames).
 fn record() -> (Vec<TraceEvent>, Vec<String>) {
-    let w = synth::uniform(64, 120);
-    let mut wtr = TraceWriter::with_names(Vec::new(), &w.program.interner).unwrap();
-    Interp::new(&w.program).run_seq(&mut wtr);
-    let bytes = wtr.finish().unwrap();
-    let mut reader = TraceReader::new(bytes.as_slice()).unwrap();
-    let interner = reader.interner().clone();
-    let mut events = Vec::new();
-    for rec in reader.by_ref() {
-        events.push(rec.unwrap());
-    }
-    let names = (0..interner.len()).map(|id| interner.resolve(id as u32).to_owned()).collect();
+    let (events, _, names) = depprof::fuzz::oracle::record(&synth::uniform(64, 120).program);
     (events, names)
 }
 
@@ -108,7 +96,10 @@ fn opts(session: &str, spec: &SessionSpec) -> PushOptions {
     PushOptions {
         session: session.to_string(),
         spec: *spec,
-        chunk_events: 64,
+        // One event per chunk: the sweep's exposure is its frame count,
+        // and a clean push then crosses 230 frame boundaries (182
+        // chunks, 45 Syncs, Hello, StatsRequest and Finish).
+        chunk_events: 1,
         sync_every_chunks: 4,
         request_stats: true,
         ..PushOptions::default()

@@ -231,8 +231,7 @@ fn service_counters_balance_the_resume_ledger() {
         out
     };
     let delivered = |f: &Frame| match f {
-        Frame::Chunk { accesses, .. } => accesses.len() as u64,
-        Frame::LoopEvent { .. } => 1,
+        Frame::Chunk { events, .. } => events.len() as u64,
         _ => 0,
     };
     let hello = |names: Vec<String>| Hello {

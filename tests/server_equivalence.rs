@@ -4,89 +4,20 @@
 //!
 //! Two layers of proof:
 //!
-//! 1. **In-process, every workload** — the socket-free [`SessionEngine`]
+//! 1. **In-process, every workload** — the socket-free `SessionEngine`
 //!    is driven frame-by-frame (exactly what a connection handler does)
-//!    and its [`ProfileResult`] is compared dependence-for-dependence
-//!    against an offline [`ProfileSession`] replay of the same events.
+//!    and its `ProfileResult` is compared dependence-for-dependence
+//!    against an offline `ProfileSession` replay of the same events —
+//!    the fuzz oracle's `served` and `offline` legs, on every workload.
 //! 2. **Over a real socket, concurrently** — a loopback TCP server runs
 //!    multiple sessions at once and every client's *report bytes* must
 //!    equal the offline render, proving session isolation end to end.
 
-use depprof::core::{report, ProfileResult, SessionSpec};
-use depprof::server::{push_events, PushOptions, Server, ServerConfig, SessionEngine};
+use depprof::core::{report, SessionSpec};
+use depprof::fuzz::oracle::{dep_map, offline, record, served};
+use depprof::server::{push_events, PushOptions, Server, ServerConfig};
 use depprof::trace::workloads::{nas_suite, starbench_suite, synth, Scale, Workload};
-
-use depprof::trace::{FrameChunker, Interp, TraceReader, TraceWriter};
-use depprof::types::protocol::{Frame, Hello};
-use depprof::types::{Interner, TraceEvent};
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-
-type DepMap = BTreeMap<String, u64>;
-
-fn dep_map(r: &ProfileResult) -> DepMap {
-    r.deps
-        .dependences()
-        .map(|(d, v)| {
-            (
-                format!(
-                    "{:?} {}|{} <- {}|{} var{}",
-                    d.edge.dtype,
-                    d.sink.loc,
-                    d.sink.thread,
-                    d.edge.source_loc,
-                    d.edge.source_thread,
-                    d.edge.var
-                ),
-                v.count,
-            )
-        })
-        .collect()
-}
-
-/// Records a sequential workload into an in-memory trace and hands back
-/// its events, interner and name table in id order — the exact inputs
-/// both the offline replay and the network push start from.
-fn record(w: &Workload) -> (Vec<TraceEvent>, Interner, Vec<String>) {
-    let mut wtr = TraceWriter::with_names(Vec::new(), &w.program.interner).unwrap();
-    Interp::new(&w.program).run_seq(&mut wtr);
-    let bytes = wtr.finish().unwrap();
-    let mut reader = TraceReader::new(bytes.as_slice()).unwrap();
-    let interner = reader.interner().clone();
-    let mut events = Vec::new();
-    for rec in reader.by_ref() {
-        events.push(rec.unwrap());
-    }
-    let names = (0..interner.len()).map(|id| interner.resolve(id as u32).to_owned()).collect();
-    (events, interner, names)
-}
-
-fn offline(spec: &SessionSpec, events: &[TraceEvent]) -> ProfileResult {
-    let mut session = spec.build();
-    for ev in events {
-        session.on_event(*ev);
-    }
-    session.finish()
-}
-
-/// Drives the socket-free engine exactly like a connection handler:
-/// Hello, chunked event frames, then `finish_result` in place of the
-/// Finish/Report exchange.
-fn served(spec: &SessionSpec, events: &[TraceEvent], names: Vec<String>) -> ProfileResult {
-    let hello = Hello { session: "equiv".into(), spec: spec.encode(), checkpoint_every: 0, names };
-    let (mut engine, ack) = SessionEngine::open(&hello, 1, None, 0).unwrap();
-    assert!(matches!(ack, Frame::HelloAck { resume_from: 0, .. }));
-    let mut chunker = FrameChunker::new(64);
-    for ev in events {
-        for frame in chunker.push(*ev) {
-            engine.handle(frame).unwrap();
-        }
-    }
-    if let Some(frame) = chunker.flush() {
-        engine.handle(frame).unwrap();
-    }
-    engine.finish_result().expect("engine still live before Finish")
-}
 
 fn sequential_workloads() -> Vec<Workload> {
     let mut all = nas_suite(Scale(0.08));
@@ -101,7 +32,7 @@ fn sequential_workloads() -> Vec<Workload> {
 #[test]
 fn served_equals_offline_serial_all_workloads() {
     for w in sequential_workloads() {
-        let (events, _, names) = record(&w);
+        let (events, _, names) = record(&w.program);
         let spec = SessionSpec { slots: 1 << 16, ..SessionSpec::default() };
         let off = offline(&spec, &events);
         let srv = served(&spec, &events, names);
@@ -115,7 +46,7 @@ fn served_equals_offline_serial_all_workloads() {
 #[test]
 fn served_equals_offline_parallel() {
     for w in sequential_workloads().into_iter().take(3) {
-        let (events, _, names) = record(&w);
+        let (events, _, names) = record(&w.program);
         let spec =
             SessionSpec { parallel: true, workers: 3, slots: 3 << 14, ..SessionSpec::default() };
         let off = offline(&spec, &events);
@@ -143,7 +74,7 @@ fn concurrent_tcp_sessions_match_offline_reports() {
     let mut clients = Vec::new();
     for w in workloads {
         clients.push(std::thread::spawn(move || {
-            let (events, interner, names) = record(&w);
+            let (events, interner, names) = record(&w.program);
             let spec = SessionSpec { slots: 1 << 16, ..SessionSpec::default() };
             let expected = {
                 let r = offline(&spec, &events);
@@ -186,7 +117,7 @@ fn at_capacity_is_a_typed_refusal() {
     let handle = std::thread::spawn(move || server.run(&STOP).unwrap());
 
     let all = sequential_workloads();
-    let (events, _, names) = record(&all[0]);
+    let (events, _, names) = record(&all[0].program);
     let mut conn = std::net::TcpStream::connect(addr).unwrap();
     let err = push_events(&mut conn, names, events, &PushOptions::default()).unwrap_err();
     match err {
@@ -194,6 +125,31 @@ fn at_capacity_is_a_typed_refusal() {
             assert!(retry_after_ms > 0, "Busy must carry a concrete retry hint");
         }
         other => panic!("wanted Busy{{retry_after_ms}}, got {other:?}"),
+    }
+
+    STOP.store(true, Ordering::SeqCst);
+    handle.join().unwrap();
+}
+
+/// A `Hello` whose name table repeats a name would shift every later
+/// variable id; the server refuses it with a typed `BAD_FRAME` error.
+#[test]
+fn repeated_hello_name_is_a_bad_frame() {
+    static STOP: AtomicBool = AtomicBool::new(false);
+
+    let server = Server::bind_tcp("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = server.local_addr().unwrap();
+    let handle = std::thread::spawn(move || server.run(&STOP).unwrap());
+
+    let names = vec!["*".to_string(), "x".into(), "y".into(), "x".into()];
+    let mut conn = std::net::TcpStream::connect(addr).unwrap();
+    let err = push_events(&mut conn, names, Vec::new(), &PushOptions::default()).unwrap_err();
+    match err {
+        depprof::server::ClientError::Server { code, message } => {
+            assert_eq!(code, depprof::types::protocol::error_code::BAD_FRAME, "{message}");
+            assert!(message.contains("repeated name"), "{message}");
+        }
+        other => panic!("wanted a BAD_FRAME error, got {other:?}"),
     }
 
     STOP.store(true, Ordering::SeqCst);

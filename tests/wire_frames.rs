@@ -39,29 +39,49 @@ fn arb_access() -> impl Strategy<Value = MemAccess> {
     )
 }
 
+/// Every event kind the codec defines — accesses and all six control
+/// events — so mixed chunks exercise every record layout.
+fn arb_event() -> impl Strategy<Value = TraceEvent> {
+    (0u8..8, arb_access(), (any::<u32>(), any::<u64>(), any::<u64>())).prop_map(
+        |(kind, a, (id, n, ts))| {
+            let (loc, thread) = (a.loc, a.thread);
+            match kind {
+                0 | 1 => TraceEvent::Access(a),
+                2 => TraceEvent::LoopBegin { loop_id: id, loc, thread, ts },
+                3 => TraceEvent::LoopIter { loop_id: id, iter: n, thread, ts },
+                4 => TraceEvent::LoopEnd { loop_id: id, loc, iters: n, thread, ts },
+                5 => TraceEvent::CallBegin { func: id, thread, ts },
+                6 => TraceEvent::CallEnd { func: id, thread, ts },
+                _ => TraceEvent::Dealloc { base: a.addr, len: n, thread, ts },
+            }
+        },
+    )
+}
+
+/// A well-formed name table: distinct names, so each interns to its
+/// own position.
+fn arb_names() -> impl Strategy<Value = Vec<String>> {
+    prop::collection::vec(arb_string(8), 0..4).prop_map(|names| {
+        let mut seen = std::collections::HashSet::new();
+        names.into_iter().filter(|n| seen.insert(n.clone())).collect()
+    })
+}
+
 /// Every frame kind the protocol defines, with arbitrary payloads.
 fn arb_frame() -> impl Strategy<Value = Frame> {
     prop_oneof![
-        (arb_string(12), prop::collection::vec(arb_string(8), 0..4), 0u64..1 << 16).prop_map(
-            |(session, names, every)| {
-                Frame::Hello(Hello {
-                    session,
-                    spec: depprof::core::SessionSpec::default().encode(),
-                    checkpoint_every: every,
-                    names,
-                })
-            }
-        ),
+        (arb_string(12), arb_names(), 0u64..1 << 16).prop_map(|(session, names, every)| {
+            Frame::Hello(Hello {
+                session,
+                spec: depprof::core::SessionSpec::default().encode(),
+                checkpoint_every: every,
+                names,
+            })
+        }),
         (any::<u64>(), any::<u64>())
             .prop_map(|(session_id, resume_from)| Frame::HelloAck { session_id, resume_from }),
-        (0u64..1 << 40, prop::collection::vec(arb_access(), 0..32))
-            .prop_map(|(base, accesses)| Frame::Chunk { base, accesses }),
-        (0u64..1 << 40, 1u32..1 << 16, 0u64..1 << 10, 0u16..8).prop_map(
-            |(seq, loop_id, ts, thread)| Frame::LoopEvent {
-                seq,
-                ev: TraceEvent::LoopBegin { loop_id, loc: loc(1, 1), thread, ts },
-            }
-        ),
+        (0u64..1 << 40, prop::collection::vec(arb_event(), 0..32))
+            .prop_map(|(base, events)| Frame::Chunk { base, events }),
         any::<u64>().prop_map(|nonce| Frame::Sync { nonce }),
         (any::<u64>(), any::<u64>())
             .prop_map(|(nonce, position)| Frame::SyncAck { nonce, position }),
@@ -153,7 +173,7 @@ proptest! {
     }
 
     /// A single bit flip anywhere outside the (unchecksummed) length
-    /// prefix is always caught — checksum mismatch, bad sub-tag, or a
+    /// prefix is always caught — checksum mismatch, bad event tag, or a
     /// payload that no longer decodes. Flips inside the length prefix
     /// must still parse without panicking (typed error or, in the
     /// astronomically rare folding coincidence, a different frame) —
@@ -191,7 +211,7 @@ proptest! {
         );
     }
 
-    /// Unknown frame tags (15+ — v2 tops out at QueryResult = 14) are a
+    /// Unknown frame tags (15+ — v3 tops out at QueryResult = 14) are a
     /// typed protocol error, not a desync.
     #[test]
     fn unknown_tags_are_typed((tag, payload) in (15u8..=255, prop::collection::vec(any::<u8>(), 0..64))) {
