@@ -1837,8 +1837,9 @@ mod tests {
         let want_edges: Mirror = r
             .deps
             .sinks()
+            .into_iter()
             .flat_map(|(sink, m)| {
-                m.iter().map(|(k, v)| ((*sink, *k), (v.count, v.flags, v.carriers.clone())))
+                m.into_iter().map(move |(k, v)| ((sink, k), (v.count, v.flags, v.carriers.clone())))
             })
             .collect();
         let want_loops: LoopMirror = r

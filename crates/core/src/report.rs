@@ -39,10 +39,9 @@ pub fn render(result: &ProfileResult, interner: &Interner, show_threads: bool) -
 
     for (sink, edges) in result.deps.sinks() {
         let mut line = String::new();
-        for (&(dtype, source_loc, source_thread, var), val) in edges {
+        for ((dtype, source_loc, source_thread, var), _) in edges {
             line.push(' ');
             fmt_edge(&mut line, dtype, source_loc, source_thread, var, interner, show_threads);
-            let _ = val;
         }
         rows.push((sink.loc, RowKind::Nom(sink.thread), line));
     }

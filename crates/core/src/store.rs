@@ -6,17 +6,28 @@
 //! benchmarks from 6.1 GB to 53 KB, corresponding to an average reduction
 //! by a factor of 10⁵." (Section III-B)
 //!
-//! The store is keyed by sink (aggregation as in Figure 1) and merges
-//! edges by `(type, source, variable)`, accumulating a count, OR-ing
-//! qualifier flags and collecting the set of loops the dependence was
-//! observed carried for. `deps_built` counts every pre-merge record, so
-//! the merge factor of experiment E9 is `deps_built / merged_len`.
+//! Edges merge by sink (aggregation as in Figure 1) and `(type, source,
+//! variable)`, accumulating a count, OR-ing qualifier flags and collecting
+//! the set of loops the dependence was observed carried for. `deps_built`
+//! counts every pre-merge record, so the merge factor of experiment E9 is
+//! `deps_built / merged_len`.
+//!
+//! Because the merge runs for nearly every access (millions of built
+//! dependences fold into a few thousand edges), the store is one hash
+//! table keyed by `(sink, edge key)`: each built dependence costs a single
+//! hashed lookup. Ordered reads — [`DepStore::sinks`],
+//! [`DepStore::dependences`], [`DepStore::save`] — sort the keys when
+//! called, and the delta dirty set is hashed the same way and sorted when
+//! [`DepStore::take_delta`] drains it, so reports, checkpoints and deltas
+//! keep their deterministic `(sink, key)` order.
 
+use dp_types::fxhash::FxHashMap;
 use dp_types::{
     ByteReader, ByteWriter, DepEdge, DepFlags, DepType, Dependence, LoopId, SinkKey, SourceLoc,
     ThreadId, VarId, WireError,
 };
 use std::collections::{BTreeMap, BTreeSet};
+use std::mem::size_of;
 
 fn dtype_code(d: DepType) -> u8 {
     match d {
@@ -39,6 +50,9 @@ fn dtype_from(code: u8) -> Result<DepType, WireError> {
 
 /// Merge key of an edge under one sink.
 pub type EdgeKey = (DepType, SourceLoc, ThreadId, VarId);
+
+/// Full identity of one merged edge: its sink and its key under the sink.
+type FullKey = (SinkKey, EdgeKey);
 
 /// One touched edge inside an [`AnalysisDelta`]: the edge's identity, the
 /// occurrences added since the last drain, and the edge's *cumulative*
@@ -100,8 +114,10 @@ impl AnalysisDelta {
 #[derive(Debug, Clone, Default)]
 struct DeltaTrack {
     /// `(sink, key) -> count` before the first touch of this interval
-    /// (0 for edges born inside the interval).
-    edges: BTreeMap<(SinkKey, EdgeKey), u64>,
+    /// (0 for edges born inside the interval). Hashed like the store, so
+    /// tracking adds one more hashed lookup per built dependence; sorted
+    /// at drain.
+    edges: FxHashMap<FullKey, u64>,
     /// `loop -> (instances, total_iters)` before the first touch.
     loops: BTreeMap<LoopId, (u64, u64)>,
 }
@@ -132,13 +148,13 @@ pub struct LoopRecord {
     pub total_iters: u64,
 }
 
-/// Duplicate-free dependence storage with deterministic iteration order.
+/// Duplicate-free dependence storage with deterministic read order.
 #[derive(Debug, Clone, Default)]
 pub struct DepStore {
-    deps: BTreeMap<SinkKey, BTreeMap<EdgeKey, EdgeVal>>,
+    /// One entry per distinct edge; its length is `merged_len`.
+    deps: FxHashMap<FullKey, EdgeVal>,
     loops: BTreeMap<LoopId, LoopRecord>,
     deps_built: u64,
-    distinct: u64,
     /// `Some` once delta tracking is enabled ([`DepStore::enable_delta`]).
     delta: Option<DeltaTrack>,
 }
@@ -147,6 +163,27 @@ impl DepStore {
     /// Empty store.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The merged entry for `key`, created empty if new. Under delta
+    /// tracking its pre-touch count enters the dirty set.
+    fn touch(&mut self, key: FullKey) -> &mut EdgeVal {
+        let entry = self.deps.entry(key).or_default();
+        if let Some(track) = self.delta.as_mut() {
+            track.edges.entry(key).or_insert(entry.count);
+        }
+        entry
+    }
+
+    /// The loop record for `id`, created empty if new. Under delta
+    /// tracking its pre-touch counters enter the dirty set.
+    fn touch_loop(&mut self, id: LoopId, begin: SourceLoc, end: SourceLoc) -> &mut LoopRecord {
+        let r =
+            self.loops.entry(id).or_insert(LoopRecord { begin, end, instances: 0, total_iters: 0 });
+        if let Some(track) = self.delta.as_mut() {
+            track.loops.entry(id).or_insert((r.instances, r.total_iters));
+        }
+        r
     }
 
     /// Records one dynamic dependence occurrence.
@@ -162,14 +199,7 @@ impl DepStore {
         carrier: Option<LoopId>,
     ) {
         self.deps_built += 1;
-        let key = (dtype, source_loc, source_thread, var);
-        let entry = self.deps.entry(sink).or_default().entry(key).or_insert_with(|| {
-            self.distinct += 1;
-            EdgeVal::default()
-        });
-        if let Some(track) = self.delta.as_mut() {
-            track.edges.entry((sink, key)).or_insert(entry.count);
-        }
+        let entry = self.touch((sink, (dtype, source_loc, source_thread, var)));
         entry.count += 1;
         entry.flags |= flags;
         if let Some(l) = carrier {
@@ -179,15 +209,7 @@ impl DepStore {
 
     /// Records a finished loop instance.
     pub fn record_loop(&mut self, id: LoopId, begin: SourceLoc, end: SourceLoc, iters: u64) {
-        let r = self.loops.entry(id).or_insert_with(|| LoopRecord {
-            begin,
-            end,
-            instances: 0,
-            total_iters: 0,
-        });
-        if let Some(track) = self.delta.as_mut() {
-            track.loops.entry(id).or_insert((r.instances, r.total_iters));
-        }
+        let r = self.touch_loop(id, begin, end);
         r.instances += 1;
         r.total_iters += iters;
     }
@@ -203,14 +225,8 @@ impl DepStore {
             return;
         }
         let mut track = DeltaTrack::default();
-        for (sink, edges) in &self.deps {
-            for key in edges.keys() {
-                track.edges.insert((*sink, *key), 0);
-            }
-        }
-        for id in self.loops.keys() {
-            track.loops.insert(*id, (0, 0));
-        }
+        track.edges.extend(self.deps.keys().map(|&key| (key, 0)));
+        track.loops.extend(self.loops.keys().map(|&id| (id, (0, 0))));
         self.delta = Some(track);
     }
 
@@ -227,16 +243,15 @@ impl DepStore {
         let Some(track) = self.delta.as_mut() else {
             return AnalysisDelta::default();
         };
-        let dirty_edges = std::mem::take(&mut track.edges);
+        let mut dirty_edges: Vec<(FullKey, u64)> = track.edges.drain().collect();
+        dirty_edges.sort_unstable_by_key(|&(key, _)| key);
         let dirty_loops = std::mem::take(&mut track.loops);
         let mut out = AnalysisDelta::default();
-        for ((sink, key), baseline) in dirty_edges {
-            let Some(val) = self.deps.get(&sink).and_then(|m| m.get(&key)) else {
-                continue;
-            };
+        for (key, baseline) in dirty_edges {
+            let Some(val) = self.deps.get(&key) else { continue };
             out.edges.push(DeltaEdge {
-                sink,
-                key,
+                sink: key.0,
+                key: key.1,
                 count_delta: val.count - baseline,
                 flags: val.flags,
                 carriers: val.carriers.clone(),
@@ -263,12 +278,27 @@ impl DepStore {
 
     /// Number of distinct (merged) dependences.
     pub fn merged_len(&self) -> u64 {
-        self.distinct
+        self.deps.len() as u64
     }
 
-    /// Sinks in deterministic order.
-    pub fn sinks(&self) -> impl Iterator<Item = (&SinkKey, &BTreeMap<EdgeKey, EdgeVal>)> {
-        self.deps.iter()
+    /// Every edge in `(sink, key)` order. Sorts on each call, which is
+    /// cheap: merging keeps the store at a few thousand edges at most.
+    fn sorted(&self) -> Vec<(&FullKey, &EdgeVal)> {
+        let mut edges: Vec<_> = self.deps.iter().collect();
+        edges.sort_unstable_by_key(|&(key, _)| key);
+        edges
+    }
+
+    /// Sinks in deterministic order, each with its edges in key order.
+    pub fn sinks(&self) -> Vec<(SinkKey, Vec<(EdgeKey, &EdgeVal)>)> {
+        let mut out: Vec<(SinkKey, Vec<_>)> = Vec::new();
+        for (&(sink, key), val) in self.sorted() {
+            match out.last_mut() {
+                Some((last, edges)) if *last == sink => edges.push((key, val)),
+                _ => out.push((sink, vec![(key, val)])),
+            }
+        }
+        out
     }
 
     /// Loop records in deterministic order.
@@ -282,25 +312,23 @@ impl DepStore {
     }
 
     /// Flattens into [`Dependence`] values (the unit the accuracy
-    /// evaluation compares).
+    /// evaluation compares), in `(sink, key)` order.
     pub fn dependences(&self) -> impl Iterator<Item = (Dependence, &EdgeVal)> {
-        self.deps.iter().flat_map(|(sink, edges)| {
-            edges.iter().map(move |(&(dtype, source_loc, source_thread, var), val)| {
-                (
-                    Dependence {
-                        sink: *sink,
-                        edge: DepEdge {
-                            dtype,
-                            source_loc,
-                            source_thread,
-                            var,
-                            carrier: val.carriers.iter().next().copied(),
-                            flags: val.flags,
-                        },
+        self.sorted().into_iter().map(|(&(sink, (dtype, source_loc, source_thread, var)), val)| {
+            (
+                Dependence {
+                    sink,
+                    edge: DepEdge {
+                        dtype,
+                        source_loc,
+                        source_thread,
+                        var,
+                        carrier: val.carriers.iter().next().copied(),
+                        flags: val.flags,
                     },
-                    val,
-                )
-            })
+                },
+                val,
+            )
         })
     }
 
@@ -309,31 +337,14 @@ impl DepStore {
     /// a global map. This step incurs only minor overhead since the local
     /// maps are free of duplicates").
     pub fn merge(&mut self, other: DepStore) {
-        for (sink, edges) in other.deps {
-            let dst = self.deps.entry(sink).or_default();
-            for (k, v) in edges {
-                let e = dst.entry(k).or_insert_with(|| {
-                    self.distinct += 1;
-                    EdgeVal::default()
-                });
-                if let Some(track) = self.delta.as_mut() {
-                    track.edges.entry((sink, k)).or_insert(e.count);
-                }
-                e.count += v.count;
-                e.flags |= v.flags;
-                e.carriers.extend(v.carriers);
-            }
+        for (key, v) in other.deps {
+            let e = self.touch(key);
+            e.count += v.count;
+            e.flags |= v.flags;
+            e.carriers.extend(v.carriers);
         }
         for (id, r) in other.loops {
-            let dst = self.loops.entry(id).or_insert_with(|| LoopRecord {
-                begin: r.begin,
-                end: r.end,
-                instances: 0,
-                total_iters: 0,
-            });
-            if let Some(track) = self.delta.as_mut() {
-                track.loops.entry(id).or_insert((dst.instances, dst.total_iters));
-            }
+            let dst = self.touch_loop(id, r.begin, r.end);
             dst.instances += r.instances;
             dst.total_iters += r.total_iters;
         }
@@ -348,47 +359,33 @@ impl DepStore {
     /// input for any non-incremental pass.
     pub fn apply_delta(&mut self, delta: &AnalysisDelta) {
         for e in &delta.edges {
-            let dst = self.deps.entry(e.sink).or_default();
-            let entry = dst.entry(e.key).or_insert_with(|| {
-                self.distinct += 1;
-                EdgeVal::default()
-            });
-            if let Some(track) = self.delta.as_mut() {
-                track.edges.entry((e.sink, e.key)).or_insert(entry.count);
-            }
+            let entry = self.touch((e.sink, e.key));
             entry.count += e.count_delta;
             entry.flags |= e.flags;
             entry.carriers.extend(e.carriers.iter().copied());
             self.deps_built += e.count_delta;
         }
         for l in &delta.loops {
-            let dst = self.loops.entry(l.id).or_insert_with(|| LoopRecord {
-                begin: l.begin,
-                end: l.end,
-                instances: 0,
-                total_iters: 0,
-            });
-            if let Some(track) = self.delta.as_mut() {
-                track.loops.entry(l.id).or_insert((dst.instances, dst.total_iters));
-            }
+            let dst = self.touch_loop(l.id, l.begin, l.end);
             dst.instances += l.instances_delta;
             dst.total_iters += l.iters_delta;
         }
     }
 
     /// Serializes the complete store — merged dependences, loop records
-    /// and the pre-merge counters — for a checkpoint. BTreeMap iteration
-    /// makes the byte stream deterministic: identical stores serialize to
-    /// identical bytes.
+    /// and the pre-merge counters — for a checkpoint. Edges are written in
+    /// `(sink, key)` order, so identical stores serialize to identical
+    /// bytes whatever order their edges were merged in.
     pub fn save(&self, out: &mut ByteWriter) {
         out.u64(self.deps_built);
-        out.u64(self.distinct);
-        out.u64(self.deps.len() as u64);
-        for (sink, edges) in &self.deps {
+        out.u64(self.merged_len());
+        let sinks = self.sinks();
+        out.u64(sinks.len() as u64);
+        for (sink, edges) in &sinks {
             out.u32(sink.loc.pack());
             out.u16(sink.thread);
             out.u64(edges.len() as u64);
-            for (&(dtype, source_loc, source_thread, var), v) in edges {
+            for &((dtype, source_loc, source_thread, var), v) in edges {
                 out.u8(dtype_code(dtype));
                 out.u32(source_loc.pack());
                 out.u16(source_thread);
@@ -417,11 +414,10 @@ impl DepStore {
         let deps_built = r.u64()?;
         let distinct = r.u64()?;
         let nsinks = r.u64()?;
-        let mut deps = BTreeMap::new();
+        let mut deps = FxHashMap::default();
         for _ in 0..nsinks {
             let sink = SinkKey { loc: SourceLoc::unpack(r.u32()?), thread: r.u16()? };
             let nedges = r.u64()?;
-            let mut edges = BTreeMap::new();
             for _ in 0..nedges {
                 let dtype = dtype_from(r.u8()?)?;
                 let source_loc = SourceLoc::unpack(r.u32()?);
@@ -434,12 +430,14 @@ impl DepStore {
                 for _ in 0..ncarriers {
                     carriers.insert(r.u32()?);
                 }
-                edges.insert(
-                    (dtype, source_loc, source_thread, var),
+                deps.insert(
+                    (sink, (dtype, source_loc, source_thread, var)),
                     EdgeVal { count, flags, carriers },
                 );
             }
-            deps.insert(sink, edges);
+        }
+        if deps.len() as u64 != distinct {
+            return Err(WireError::Invalid("distinct-edge count disagrees with stored edges"));
         }
         let nloops = r.u64()?;
         let mut loops = BTreeMap::new();
@@ -458,18 +456,36 @@ impl DepStore {
         if !r.is_done() {
             return Err(WireError::Invalid("trailing bytes after dependence store"));
         }
-        Ok(DepStore { deps, loops, deps_built, distinct, delta: None })
+        Ok(DepStore { deps, loops, deps_built, delta: None })
     }
 
-    /// Approximate heap footprint for the memory accounting.
+    /// Heap footprint for the memory accounting: every allocated bucket
+    /// of the hash tables (entry plus one control byte), the carrier
+    /// sets, the loop records and, under delta tracking, the dirty set.
     pub fn memory_usage(&self) -> usize {
-        use std::mem::size_of;
-        let per_sink = size_of::<SinkKey>() + size_of::<BTreeMap<EdgeKey, EdgeVal>>() + 32;
-        let per_edge = size_of::<EdgeKey>() + size_of::<EdgeVal>() + 32;
-        self.deps.len() * per_sink
-            + self.distinct as usize * per_edge
-            + self.loops.len() * (size_of::<LoopRecord>() + 16)
+        let carriers: usize =
+            self.deps.values().map(|v| btree_bytes::<LoopId>(v.carriers.len())).sum();
+        let dirty = self.delta.as_ref().map_or(0, |t| {
+            table_bytes(&t.edges) + btree_bytes::<(LoopId, (u64, u64))>(t.loops.len())
+        });
+        table_bytes(&self.deps)
+            + carriers
+            + btree_bytes::<(LoopId, LoopRecord)>(self.loops.len())
+            + dirty
     }
+}
+
+/// Bytes a hash table has allocated: one entry and one control byte per
+/// usable bucket.
+fn table_bytes<K, V>(m: &FxHashMap<K, V>) -> usize {
+    m.capacity() * (size_of::<(K, V)>() + 1)
+}
+
+/// Approximate bytes of a std B-tree holding `len` entries of type `T`,
+/// counted as full nodes of eleven entries (the std node capacity) with a
+/// 16-byte header each.
+fn btree_bytes<T>(len: usize) -> usize {
+    len.div_ceil(11) * (11 * size_of::<T>() + 16)
 }
 
 #[cfg(test)]
@@ -489,8 +505,7 @@ mod tests {
         }
         assert_eq!(s.deps_built(), 1000);
         assert_eq!(s.merged_len(), 1);
-        let (_, edges) = s.sinks().next().unwrap();
-        assert_eq!(edges.values().next().unwrap().count, 1000);
+        assert_eq!(s.sinks()[0].1[0].1.count, 1000);
     }
 
     #[test]
@@ -501,7 +516,7 @@ mod tests {
         s.add(sink(63), DepType::War, loc(1, 59), 0, 4, DepFlags::empty(), None);
         s.add(sink(64), DepType::Raw, loc(1, 59), 0, 4, DepFlags::empty(), None);
         assert_eq!(s.merged_len(), 4);
-        assert_eq!(s.sinks().count(), 2);
+        assert_eq!(s.sinks().len(), 2);
     }
 
     #[test]
@@ -510,8 +525,7 @@ mod tests {
         s.add(sink(5), DepType::Raw, loc(1, 5), 0, 1, DepFlags::INTRA_ITERATION, None);
         s.add(sink(5), DepType::Raw, loc(1, 5), 0, 1, DepFlags::LOOP_CARRIED, Some(3));
         s.add(sink(5), DepType::Raw, loc(1, 5), 0, 1, DepFlags::LOOP_CARRIED, Some(7));
-        let (_, edges) = s.sinks().next().unwrap();
-        let v = edges.values().next().unwrap();
+        let v = s.sinks()[0].1[0].1;
         assert!(v.flags.contains(DepFlags::LOOP_CARRIED | DepFlags::INTRA_ITERATION));
         assert_eq!(v.carriers.iter().copied().collect::<Vec<_>>(), vec![3, 7]);
         assert_eq!(v.count, 3);
@@ -532,21 +546,58 @@ mod tests {
         let r = a.loop_record(0).unwrap();
         assert_eq!(r.instances, 2);
         assert_eq!(r.total_iters, 200);
-        let (_, edges) = a.sinks().next().unwrap();
-        let v = edges.values().next().unwrap();
+        let v = a.sinks()[0].1[0].1;
         assert_eq!(v.count, 2);
         assert!(v.flags.contains(DepFlags::LOOP_CARRIED));
     }
 
-    #[test]
-    fn save_load_roundtrips_and_is_deterministic() {
+    /// A store with several sinks (two threads), all four dependence
+    /// types, every flag, multi-loop carrier sets and two loop records.
+    fn golden_store() -> DepStore {
+        let at = |file, line, thread| SinkKey { loc: loc(file, line), thread };
         let mut s = DepStore::new();
         s.add(sink(63), DepType::Raw, loc(1, 59), 0, 4, DepFlags::INTRA_ITERATION, None);
+        s.add(sink(63), DepType::Raw, loc(1, 59), 0, 4, DepFlags::LOOP_CARRIED, Some(7));
         s.add(sink(63), DepType::Raw, loc(1, 59), 0, 4, DepFlags::LOOP_CARRIED, Some(3));
         s.add(sink(63), DepType::War, loc(2, 67), 1, 5, DepFlags::REVERSED, Some(7));
+        s.add(sink(63), DepType::Waw, loc(1, 61), 0, 4, DepFlags::empty(), None);
         s.add(sink(64), DepType::Init, loc(1, 64), 0, 6, DepFlags::empty(), None);
+        let both = DepFlags::LOOP_CARRIED | DepFlags::REVERSED;
+        s.add(at(2, 10, 1), DepType::Waw, loc(2, 8), 1, 9, both, Some(7));
+        s.add(at(2, 10, 1), DepType::Raw, loc(1, 59), 0, 9, DepFlags::LOOP_CARRIED, Some(3));
+        s.add(at(2, 10, 1), DepType::Raw, loc(1, 59), 0, 9, DepFlags::LOOP_CARRIED, Some(7));
+        s.add(at(2, 10, 0), DepType::War, loc(2, 12), 0, 9, DepFlags::INTRA_ITERATION, None);
         s.record_loop(3, loc(1, 10), loc(1, 20), 100);
         s.record_loop(7, loc(2, 1), loc(2, 9), 8);
+        s.record_loop(3, loc(1, 10), loc(1, 20), 50);
+        s
+    }
+
+    /// `save` bytes of [`golden_store`] as written by the checkpoint
+    /// format's original ordered-map store: checkpoints written before the
+    /// store was hashed must load and resave byte for byte.
+    const GOLDEN_HEX: &str = concat!(
+        "0a00000000000000070000000000000004000000000000003f00000100000300000000000000003b",
+        "00000100000400000003000000000000000302000000030000000700000001430000020100050000",
+        "000100000000000000040100000007000000023d0000010000040000000100000000000000000000",
+        "00004000000100000100000000000000034000000100000600000001000000000000000000000000",
+        "0a00000200000100000000000000010c000002000009000000010000000000000002000000000a00",
+        "000201000200000000000000003b0000010000090000000200000000000000010200000003000000",
+        "07000000020800000201000900000001000000000000000501000000070000000200000000000000",
+        "030000000a0000011400000102000000000000009600000000000000070000000100000209000002",
+        "01000000000000000800000000000000",
+    );
+
+    fn golden_bytes() -> Vec<u8> {
+        (0..GOLDEN_HEX.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&GOLDEN_HEX[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn save_load_roundtrips_and_is_deterministic() {
+        let s = golden_store();
         let mut out = ByteWriter::new();
         s.save(&mut out);
         let bytes = out.into_bytes();
@@ -565,6 +616,20 @@ mod tests {
     }
 
     #[test]
+    fn save_bytes_match_golden_checkpoint() {
+        let golden = golden_bytes();
+        let mut out = ByteWriter::new();
+        golden_store().save(&mut out);
+        assert_eq!(out.into_bytes(), golden, "checkpoint layout or order changed");
+        let loaded = DepStore::load(&golden).unwrap();
+        assert_eq!(loaded.deps_built(), 10);
+        assert_eq!(loaded.merged_len(), 7);
+        let mut again = ByteWriter::new();
+        loaded.save(&mut again);
+        assert_eq!(again.into_bytes(), golden, "an old checkpoint must resave identically");
+    }
+
+    #[test]
     fn load_rejects_garbage() {
         assert!(DepStore::load(&[1, 2, 3]).is_err(), "truncated");
         let mut out = ByteWriter::new();
@@ -572,6 +637,28 @@ mod tests {
         let mut bytes = out.into_bytes();
         bytes.push(0); // trailing byte
         assert!(DepStore::load(&bytes).is_err());
+        let mut bytes = golden_bytes();
+        bytes[8] += 1; // distinct-edge count no longer matches the edges
+        assert!(DepStore::load(&bytes).is_err());
+    }
+
+    #[test]
+    fn memory_usage_covers_every_distinct_edge() {
+        let entry = size_of::<(FullKey, EdgeVal)>();
+        let mut s = DepStore::new();
+        let mut last = s.memory_usage();
+        for line in 1..=200 {
+            s.add(sink(line), DepType::Raw, loc(1, line), 0, 1, DepFlags::empty(), None);
+            let now = s.memory_usage();
+            assert!(now >= last, "footprint shrank at {line} edges");
+            assert!(now >= s.merged_len() as usize * entry);
+            last = now;
+        }
+        let plain = s.memory_usage();
+        s.add(sink(1), DepType::Raw, loc(1, 1), 0, 1, DepFlags::LOOP_CARRIED, Some(4));
+        assert!(s.memory_usage() > plain, "a carrier set costs memory");
+        s.enable_delta();
+        assert!(s.memory_usage() > plain + 200 * size_of::<(FullKey, u64)>(), "dirty set");
     }
 
     /// Folds a delta into a plain store using the merge rules (counts
@@ -581,7 +668,9 @@ mod tests {
         target.apply_delta(delta);
     }
 
-    fn snapshot(s: &DepStore) -> (Vec<(Dependence, EdgeVal)>, Vec<(LoopId, LoopRecord)>) {
+    type Snapshot = (Vec<(Dependence, EdgeVal)>, Vec<(LoopId, LoopRecord)>);
+
+    fn snapshot(s: &DepStore) -> Snapshot {
         (
             s.dependences().map(|(d, v)| (d, v.clone())).collect(),
             s.loops().map(|(id, r)| (*id, r.clone())).collect(),
